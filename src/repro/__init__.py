@@ -17,10 +17,9 @@ Core (``repro.core``)
     verification.
 Kernels (``repro.kernels``)
     The shared distance-computation layer under every radius search and
-    absorption loop: block kernels (bit-exact float64 / fast float32),
-    chunk autotuning and reusable workspaces, with ``dtype`` /
-    ``kernel_chunk`` knobs threaded through ``ProblemSpec`` and the MPC
-    task tuples.
+    absorption loop: one exact float64 kernel (SciPy ``cdist`` blocks and
+    their bit-identical sparse pair companion), chunk autotuning and
+    reusable workspaces.
 Persist (``repro.persist``)
     Durable session state: a versioned snapshot container (JSON manifest
     + npz payload) behind ``KCenterSession.save``/``load``, implemented
@@ -70,7 +69,7 @@ from .core import (
     update_coreset,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "KCenterSession",

@@ -160,12 +160,18 @@ class KCenterSession:
         same stream (every backend's batch path is chunking-invariant).
         ``batch`` re-chunks a :class:`PointSource` to that many rows;
         it is ignored for dense arrays and pre-chunked iterators.
+
+        Every array or chunk is checked before it reaches the backend: it
+        must be 2-D, finite, and as wide as ``spec.dim`` when that is
+        set.  A rejected array raises :class:`ValueError` and leaves the
+        session unchanged; in a chunk stream, the chunks before the
+        rejected one stay applied.
         """
         if is_chunked(points):
             with self._lock:
                 t0 = time.perf_counter()
                 for pts, w in iter_point_chunks(points, batch):
-                    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+                    pts = self._check_points(pts)
                     if not len(pts):
                         continue
                     if w is None:
@@ -181,12 +187,30 @@ class KCenterSession:
                     self._updates += len(pts)
                 self._wall_time += time.perf_counter() - t0
             return
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._check_points(points)
         with self._lock:
             t0 = time.perf_counter()
             self.backend.extend(pts)
             self._updates += len(pts)
             self._wall_time += time.perf_counter() - t0
+
+    def _check_points(self, points) -> np.ndarray:
+        """``points`` as a float array of rows, or :class:`ValueError`
+        when it is not 2-D, not finite, or not ``spec.dim`` wide."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2:
+            raise ValueError(
+                f"points must be a 2-D array of rows, got shape {pts.shape}"
+            )
+        dim = self.spec.dim
+        if dim is not None and pts.shape[1] != dim:
+            raise ValueError(
+                f"points have {pts.shape[1]} coordinates but the spec has "
+                f"dim={dim}"
+            )
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite (no NaN or inf)")
+        return pts
 
     def delete_many(self, points) -> None:
         """Batched deletion (fully-dynamic backends only).
@@ -262,8 +286,6 @@ class KCenterSession:
             elif method == "greedy3":
                 res = charikar_greedy(
                     cs, spec.k, spec.z, spec.resolved_metric,
-                    dtype=spec.dtype, kernel_chunk=spec.kernel_chunk,
-                    kernel_backend=spec.kernel_backend,
                     prune=spec.prune if spec.prune is not None else "auto",
                     decision_jobs=spec.decision_jobs,
                 )
@@ -277,9 +299,7 @@ class KCenterSession:
                 centers, radius = sol.centers, sol.radius
             self._wall_time += time.perf_counter() - t0
             stats = dict(self.backend.stats())
-            # kernel provenance: which backend the distance kernels ran on
-            # and which decision path the greedy radius search took
-            stats["kernel_backend"] = spec.kernel_backend or "numpy"
+            # provenance: which decision path the greedy radius search took
             if greedy_path is not None:
                 stats["greedy_path"] = greedy_path
             if greedy_stats:
@@ -401,7 +421,8 @@ class KCenterSession:
         **options:
             Overrides layered over the saved construction options.
             Only *recompute-time* knobs may change on resume
-            (``executor``, ``jobs``, ``num_machines``, kernel knobs);
+            (``executor``, ``jobs``, ``num_machines``, ``prune``,
+            ``decision_jobs``);
             geometry-defining options (``window``, ``r_min``/``r_max``,
             ``delta_universe``, sketch sizing) are part of the state's
             meaning and the backend's ``restore`` rejects a mismatch
@@ -453,7 +474,7 @@ class KCenterSession:
         if not isinstance(spec_dict, dict):
             raise SnapshotError("snapshot manifest is missing the spec dict")
         try:
-            loaded_spec = ProblemSpec(**spec_dict)
+            loaded_spec = ProblemSpec.from_dict(spec_dict)
         except (TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"snapshot spec does not reconstruct: {exc}"

@@ -23,6 +23,10 @@ from ..core.metrics import Metric, get_metric
 
 __all__ = ["ProblemSpec"]
 
+#: keys older :meth:`ProblemSpec.as_dict` records carry; only a
+#: ``dtype`` other than float64 ever changed results
+_RETIRED_KEYS = ("dtype", "kernel_backend", "kernel_chunk")
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -58,23 +62,6 @@ class ProblemSpec:
     jobs:
         Worker count for the executor; ``None`` means one worker per
         item up to the CPU count.
-    dtype:
-        Distance-kernel precision (:mod:`repro.kernels`): ``None`` /
-        ``"float64"`` is the bit-exact reference path; ``"float32"``
-        halves kernel memory traffic at a documented ~1e-6 relative
-        distance error.  Honored by every backend whose hot path runs
-        the Greedy radius search (offline, MPC, session ``solve``).
-    kernel_chunk:
-        Rows per chunked distance block in the radius-search stack;
-        ``None`` autotunes against a fixed working-set budget.
-    kernel_backend:
-        Distance-kernel implementation (:mod:`repro.kernels`): ``None`` /
-        ``"numpy"`` is the default vectorized path; ``"numba"`` dispatches
-        the hot kernels to compiled implementations when the optional
-        ``repro[accel]`` extra is installed (bit-identical results).
-        Validated by name only, so a spec naming ``"numba"`` can be
-        stored/loaded on machines without the extra — availability is
-        checked at solve time.
     prune:
         Grid pruning of the Greedy radius search
         (:func:`repro.core.greedy.charikar_greedy`): ``None`` / ``"auto"``
@@ -98,9 +85,6 @@ class ProblemSpec:
     dim: "int | None" = None
     executor: "str | None" = None
     jobs: "int | None" = None
-    dtype: "str | None" = None
-    kernel_chunk: "int | None" = None
-    kernel_backend: "str | None" = None
     prune: "str | None" = None
     decision_jobs: "int | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
@@ -122,22 +106,6 @@ class ProblemSpec:
             )
         if self.jobs is not None and int(self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.dtype is not None:
-            from ..kernels import resolve_dtype
-
-            object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
-        if self.kernel_chunk is not None:
-            if int(self.kernel_chunk) < 1:
-                raise ValueError(
-                    f"kernel_chunk must be >= 1, got {self.kernel_chunk}"
-                )
-            object.__setattr__(self, "kernel_chunk", int(self.kernel_chunk))
-        if self.kernel_backend is not None:
-            from ..kernels import resolve_backend
-
-            object.__setattr__(
-                self, "kernel_backend", resolve_backend(self.kernel_backend)
-            )
         if self.jobs is not None:
             object.__setattr__(self, "jobs", int(self.jobs))
         if self.prune is not None:
@@ -207,14 +175,35 @@ class ProblemSpec:
 
     # -- derivation --------------------------------------------------------
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ProblemSpec":
+        """Rebuild a spec from an :meth:`as_dict` record.
+
+        Records written before the distance kernel became float64-only
+        carry three retired keys: ``dtype``, ``kernel_backend`` and
+        ``kernel_chunk``.  They are dropped, since the float64 kernel
+        computes what they computed (every kernel backend and chunk size
+        was bit-identical).  A record with a ``dtype`` other than
+        ``"float64"`` raises :class:`ValueError` naming ``dtype``: its
+        lower-precision results cannot be reproduced.
+        """
+        doc = dict(doc)
+        dtype = doc.get("dtype")
+        if dtype not in (None, "float64"):
+            raise ValueError(
+                f"spec dtype={dtype!r} is no longer supported: distances "
+                "are computed in float64 only"
+            )
+        for key in _RETIRED_KEYS:
+            doc.pop(key, None)
+        return cls(**doc)
+
     def replace(self, **changes) -> "ProblemSpec":
         """A copy of the spec with the given fields replaced."""
         base = {
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
             "executor": self.executor, "jobs": self.jobs,
-            "dtype": self.dtype, "kernel_chunk": self.kernel_chunk,
-            "kernel_backend": self.kernel_backend,
             "prune": self.prune, "decision_jobs": self.decision_jobs,
         }
         base.update(changes)
@@ -231,9 +220,6 @@ class ProblemSpec:
             "dim": self.dim,
             "executor": self.executor,
             "jobs": self.jobs,
-            "dtype": self.dtype,
-            "kernel_chunk": self.kernel_chunk,
-            "kernel_backend": self.kernel_backend,
             "prune": self.prune,
             "decision_jobs": self.decision_jobs,
         }

@@ -29,9 +29,8 @@ float64), the incremental sums equal the recomputed sums bit for bit, so
 results are identical to the pre-refactor code
 (:mod:`repro.core._greedy_reference`; proven by
 ``tests/test_greedy_parity.py``) at a fraction of the work: ``O(n^2)``
-per guess instead of ``O(k n^2)``.  Distance blocks come from
-:mod:`repro.kernels` via :meth:`Metric.pairwise_block`, honoring the
-``dtype`` / ``kernel_chunk`` knobs of :class:`repro.api.ProblemSpec`.
+per guess instead of ``O(k n^2)``.  Distance blocks come from the exact
+float64 kernels of :mod:`repro.kernels` via :meth:`Metric.pairwise`.
 
 Grid pruning (the sub-quadratic refactor): for the built-in norms in low
 dimension with integer weights, each geometric radius-guess decision
@@ -45,10 +44,7 @@ come from the grid; the surviving pairs are re-evaluated in float64 with
 cdist entries the dense float64 path compares, and all accumulated sums
 are exact integers — so the pruned decisions pick the same centers, bit
 for bit, as the dense float64 reference (``tests/test_greedy_pruned.py``).
-This holds for the float32 fast path too: a pruned decision always
-evaluates its sparse distances in exact float64, so ``dtype="float32"``
-with pruning returns the float64-reference results (the lossy float32
-kernel only runs on the dense fallback).  High dimension, arbitrary /
+High dimension, arbitrary /
 precomputed metrics and fractional weights fall back to the dense path
 automatically (:attr:`GreedyResult.path` records which path served the
 call).
@@ -68,11 +64,6 @@ weights every partial is an exact float64 integer, so the reduction
 (and every argmax pick, tie-breaks included) is bit-identical to the
 serial scan for any job count.  :attr:`GreedyResult.stats` reports the
 ``grid_builds`` / ``grid_reuses`` / ``decision_shards`` breakdown.
-
-``kernel_backend="numba"`` additionally dispatches the distance kernels
-and the hot gain-update loops to the compiled implementations of
-:mod:`repro.kernels.numba_backend` (optional extra; numpy is the
-default and the reference).
 """
 
 from __future__ import annotations
@@ -83,13 +74,7 @@ import numpy as np
 
 from ..engine.executor import ThreadExecutor, shard_ranges
 from ..geometry.grid import PointGrid, PointGridHierarchy
-from ..kernels import (
-    Workspace,
-    auto_chunk,
-    pair_distances,
-    resolve_backend,
-    resolve_dtype,
-)
+from ..kernels import Workspace, auto_chunk, pair_distances
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
 from .radius import coverage_radius, nearest_center_distances
@@ -208,18 +193,15 @@ def gonzalez(
     )
 
 
-def _gain_dtype(weights: np.ndarray, kernel_dtype) -> type:
+def _gain_dtype(weights: np.ndarray) -> type:
     """Accumulator dtype for the candidate gains.
 
-    float32 when the kernel itself is float32, or when gains are *exactly*
-    representable there: integer weights whose total stays below 2^24 —
-    then every partial sum is an exact float32 integer and the matvecs run
-    at half the memory traffic with bit-identical argmax decisions.
-    Fractional weights (a float array passed directly) must stay in
-    float64: rounding them would move picks.
+    float32 when gains are *exactly* representable there: integer weights
+    whose total stays below 2^24 — then every partial sum is an exact
+    float32 integer and the matvecs run at half the memory traffic with
+    bit-identical argmax decisions.  Fractional weights (a float array
+    passed directly) must stay in float64: rounding them would move picks.
     """
-    if kernel_dtype == np.float32:
-        return np.float32
     if np.issubdtype(weights.dtype, np.integer) and float(weights.sum()) < 2.0**24:
         return np.float32
     return np.float64
@@ -245,7 +227,6 @@ def _greedy_disks(
     z: int,
     guess: float,
     workspace: "Workspace | None" = None,
-    backend: str = "numpy",
 ) -> "tuple[bool, list[int], np.ndarray]":
     """Charikar decision procedure for radius ``guess`` on a precomputed
     distance matrix ``D``, with incrementally maintained gains.
@@ -265,34 +246,12 @@ def _greedy_disks(
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     limit3 = 3.0 * guess + tol
-    # the compiled gain loops sum weights in index order, not BLAS order,
-    # so they are reserved for integer weights where any order is exact
-    use_numba = (
-        backend == "numba"
-        and D.dtype == np.float64
-        and np.issubdtype(weights.dtype, np.integer)
-    )
-    if use_numba:
-        from ..kernels import numba_backend
-
-        w = weights.astype(np.float64)
-        gain = numba_backend.gain_seed(D, w, guess + tol)
-        for _ in range(min(k, n)):
-            if not uncovered.any():
-                break
-            v = int(np.argmax(gain))
-            centers.append(v)
-            idx = np.flatnonzero(uncovered & (D[v] <= limit3))
-            if idx.size:
-                uncovered[idx] = False
-                numba_backend.gain_subtract(D, gain, idx, w, guess + tol)
-        return _weight_feasible(weights, uncovered, z), centers, uncovered
-    # comparisons against D stay in D's own dtype; only the gain
-    # accumulators may drop to float32 (see _gain_dtype)
-    dt = _gain_dtype(weights, D.dtype)
+    # comparisons against D stay in float64; only the gain accumulators
+    # may narrow (see _gain_dtype)
+    dt = _gain_dtype(weights)
     w = weights.astype(dt)
     ws = workspace if workspace is not None else Workspace()
-    # ball membership at g, as the kernel dtype so the matvec hits BLAS
+    # ball membership at g, as the gain dtype so the matvec hits BLAS
     # without a hidden bool->float promotion copy per pick
     mask = ws.buffer("disks.mask", D.shape, bool)
     np.less_equal(D, guess + tol, out=mask)
@@ -323,10 +282,7 @@ def _geometric_decision(
     k: int,
     z: int,
     guess: float,
-    dtype=None,
-    kernel_chunk: "int | None" = None,
     workspace: "Workspace | None" = None,
-    backend: str = "numpy",
 ) -> "tuple[bool, list[int], np.ndarray]":
     """Charikar decision without a full distance matrix (chunked).
 
@@ -335,23 +291,20 @@ def _geometric_decision(
     block — ``O(n^2)`` distance evaluations per guess in total, versus the
     pre-refactor ``O(k n^2)`` (a fresh full pass per pick).  Used when
     ``n > PAIRWISE_LIMIT`` and the grid pruning of :func:`_grid_decision`
-    does not apply.
+    does not apply.  ``workspace`` is accepted for signature parity with
+    the other decision procedures; the row blocks need no scratch.
     """
     pts = wps.points
     n = len(pts)
-    dt = resolve_dtype(dtype)
-    gdt = _gain_dtype(wps.weights, dt)
+    gdt = _gain_dtype(wps.weights)
     w = wps.weights.astype(gdt)
     tol = 1e-9 * max(1.0, guess)
-    chunk = kernel_chunk if kernel_chunk is not None else auto_chunk(n, dtype=dt)
-    ws = workspace if workspace is not None else Workspace()
+    chunk = auto_chunk(n)
     uncovered = np.ones(n, dtype=bool)
     centers: list[int] = []
     gain = np.empty(n, dtype=gdt)
     for i0 in range(0, n, chunk):
-        block = metric.pairwise_block(
-            pts[i0 : i0 + chunk], pts, dtype=dt, workspace=ws, backend=backend
-        )
+        block = metric.pairwise(pts[i0 : i0 + chunk], pts)
         gain[i0 : i0 + len(block)] = (block <= guess + tol).astype(gdt) @ w
     limit3 = 3.0 * guess + tol
     for _ in range(min(k, n)):
@@ -363,16 +316,10 @@ def _geometric_decision(
         idx = np.flatnonzero(uncovered & (dv <= limit3))
         if idx.size:
             uncovered[idx] = False
-            # ws.take gathers the subset's squared norms from the cached
-            # full-array reduction instead of re-reducing them per guess
-            # (bit-identical values; only the float32 GEMM kernel reads them)
-            sub = ws.take(pts, idx)
+            sub = pts[idx]
             wi = w[idx]
             for i0 in range(0, n, chunk):
-                block = metric.pairwise_block(
-                    pts[i0 : i0 + chunk], sub, dtype=dt, workspace=ws,
-                    backend=backend,
-                )
+                block = metric.pairwise(pts[i0 : i0 + chunk], sub)
                 gain[i0 : i0 + len(block)] -= (block <= guess + tol).astype(gdt) @ wi
     return _weight_feasible(wps.weights, uncovered, z), centers, uncovered
 
@@ -404,8 +351,6 @@ def _accumulate_cells(
     src_starts: np.ndarray,
     src_counts: np.ndarray,
     src_members: np.ndarray,
-    backend: str,
-    workspace: Workspace,
     ring: int,
 ) -> None:
     """Serial core of :func:`_grid_accumulate_gains`: accumulate
@@ -433,9 +378,7 @@ def _accumulate_cells(
         rows_per = max(1, _GRID_PAIR_CHUNK // max(1, len(mem)))
         for r0 in range(0, len(cand), rows_per):
             rows = cand[r0 : r0 + rows_per]
-            block = metric.pairwise_block(
-                pts[rows], pts[mem], workspace=workspace, backend=backend
-            )
+            block = metric.pairwise(pts[rows], pts[mem])
             contrib = (block <= cutoff) @ w64[mem]
             if sign > 0:
                 gain[rows] += contrib
@@ -451,14 +394,6 @@ def _accumulate_cells(
             blocked(cand, mem)
         return
     kind = metric.name
-    # the fused compiled kernel skips the dist/sel/bincount temporaries;
-    # same exact-integer result as the numpy expansion below
-    fused = None
-    if backend == "numba":
-        from ..kernels import numba_backend
-
-        if numba_backend.HAVE_NUMBA:
-            fused = numba_backend.gain_pairs
     # keep the cells x (2R+1)^d searchsorted target matrix the same size
     # whatever the ring (chunking never affects results)
     match_chunk = max(
@@ -498,21 +433,17 @@ def _accumulate_cells(
                 lb = t - la * cb_p
                 rows = grid.order[grid.cell_starts[nbr[p0:p1]][pid] + la]
                 cols = src_members[src_starts[src_pos[p0:p1]][pid] + lb]
-                if fused is not None:
-                    fused(kind, pts, rows, cols, w64, cutoff, sign, gain)
-                else:
-                    dist = pair_distances(kind, pts, rows, cols,
-                                          backend=backend)
-                    sel = dist <= cutoff
-                    if sel.any():
-                        contrib = np.bincount(
-                            rows[sel], weights=w64[cols[sel]],
-                            minlength=len(gain),
-                        )
-                        if sign > 0:
-                            gain += contrib
-                        else:
-                            gain -= contrib
+                dist = pair_distances(kind, pts, rows, cols)
+                sel = dist <= cutoff
+                if sel.any():
+                    contrib = np.bincount(
+                        rows[sel], weights=w64[cols[sel]],
+                        minlength=len(gain),
+                    )
+                    if sign > 0:
+                        gain += contrib
+                    else:
+                        gain -= contrib
             p0 = p1
 
 
@@ -528,8 +459,6 @@ def _grid_accumulate_gains(
     src_starts: np.ndarray,
     src_counts: np.ndarray,
     src_members: np.ndarray,
-    backend: str,
-    workspace: Workspace,
     ring: int = 1,
     executor: "ThreadExecutor | None" = None,
 ) -> int:
@@ -538,13 +467,11 @@ def _grid_accumulate_gains(
     With an ``executor`` and a scan worth fanning out (at least
     :data:`_GRID_SHARD_MIN_POINTS` source points), the source cells are
     split into deterministic contiguous ranges (:func:`shard_ranges`);
-    each shard scans into its own zeroed gain array with its own
-    :class:`Workspace` (workspace buffers are tag-keyed, not
-    thread-safe), and the partials are added into ``gain`` in shard
-    order on the calling thread.  Every partial is an exact
-    (sign-applied) integer in float64, so the reduction is bit-identical
-    to the serial scan for any job count.  Returns the number of shards
-    that ran (1 = serial).
+    each shard scans into its own zeroed gain array, and the partials
+    are added into ``gain`` in shard order on the calling thread.  Every
+    partial is an exact (sign-applied) integer in float64, so the
+    reduction is bit-identical to the serial scan for any job count.
+    Returns the number of shards that ran (1 = serial).
     """
     n_src = len(src_cells)
     if n_src == 0:
@@ -563,7 +490,7 @@ def _grid_accumulate_gains(
                 _accumulate_cells(
                     grid, pts, metric, w64, cutoff, part, sign,
                     src_cells[lo:hi], src_starts[lo:hi], src_counts[lo:hi],
-                    src_members, backend, Workspace(), ring,
+                    src_members, ring,
                 )
                 return part
 
@@ -572,7 +499,7 @@ def _grid_accumulate_gains(
             return len(ranges)
     _accumulate_cells(
         grid, pts, metric, w64, cutoff, gain, sign, src_cells, src_starts,
-        src_counts, src_members, backend, workspace, ring,
+        src_counts, src_members, ring,
     )
     return 1
 
@@ -602,8 +529,7 @@ def _grid_decision(
     z: int,
     guess: float,
     grid: PointGrid,
-    workspace: Workspace,
-    backend: str = "numpy",
+    workspace: "Workspace | None" = None,
     executor: "ThreadExecutor | None" = None,
     stats: "dict | None" = None,
 ) -> "tuple[bool, list[int], np.ndarray]":
@@ -620,7 +546,9 @@ def _grid_decision(
     entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks, serial or sharded.
+    including tie-breaks, serial or sharded.  ``workspace`` is accepted
+    for signature parity with the other decision procedures; the sparse
+    scans need no scratch.
     """
     pts = wps.points
     n = len(pts)
@@ -633,7 +561,7 @@ def _grid_decision(
     shards = _grid_accumulate_gains(
         grid, pts, metric, w64, cutoff, gain, 1.0,
         np.arange(grid.num_cells), grid.cell_starts, grid.cell_counts,
-        grid.order, backend, workspace, ring=ring, executor=executor,
+        grid.order, ring=ring, executor=executor,
     )
     if stats is not None:
         stats["decisions"] += 1
@@ -655,8 +583,8 @@ def _grid_decision(
             cells, starts, counts, members = _group_by_cell(grid, idx)
             shards = _grid_accumulate_gains(
                 grid, pts, metric, w64, cutoff, gain, -1.0,
-                cells, starts, counts, members, backend, workspace,
-                ring=ring, executor=executor,
+                cells, starts, counts, members, ring=ring,
+                executor=executor,
             )
             if stats is not None and shards > 1:
                 stats["decision_shards"] = max(
@@ -673,9 +601,6 @@ def charikar_greedy(
     metric: "Metric | str | None" = None,
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
-    dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend=None,
     prune: str = "auto",
     decision_jobs: "int | None" = None,
 ) -> GreedyResult:
@@ -695,16 +620,10 @@ def charikar_greedy(
     every guess ``>= opt``.  Both directions are exercised by the test
     suite against brute-force optima.
 
-    ``dtype`` / ``kernel_chunk`` / ``kernel_backend`` select the distance
-    kernel (:mod:`repro.kernels`): the default float64 path is
-    bit-identical to the pre-kernels implementation; ``dtype="float32"``
-    halves memory traffic at a documented ~1e-6 relative distance error,
-    which can move radius candidates by the same order (the certificate
-    still holds with ``tol'`` inflated accordingly);
-    ``kernel_backend="numba"`` dispatches to the compiled (bit-exact)
-    kernels when the optional extra is installed.  The distance structure
-    is computed once per call and shared across every binary-search /
-    geometric-grid guess via a :class:`repro.kernels.Workspace`.
+    Distances come from the exact float64 kernels of
+    :mod:`repro.kernels`.  On the pairwise path the distance matrix is
+    computed once per call and shared across every binary-search guess,
+    with the per-guess buffers held in a :class:`repro.kernels.Workspace`.
 
     ``prune`` controls the grid-pruned candidate scans of the geometric
     search: ``"auto"`` (default) uses them whenever they are exact — a
@@ -712,10 +631,7 @@ def charikar_greedy(
     ``2**53`` — ``"off"`` (alias ``"dense"``) forces the dense chunked
     path, and ``"grid"`` *requires* pruning, raising :class:`ValueError`
     when the gate is inapplicable instead of silently falling back.
-    Pruned decisions always evaluate their sparse distances in exact
-    float64, so pruned results are bit-identical to the dense *float64*
-    reference — including under ``dtype="float32"``, where the dense
-    fallback would instead pay the documented ~1e-6 distance error.
+    Pruned results are bit-identical to the dense reference.
     :attr:`GreedyResult.path` records what ran.
 
     ``decision_jobs`` shards each pruned decision's cell scans across
@@ -728,7 +644,6 @@ def charikar_greedy(
     be an outlier) or ``k >= n``, the radius is ``0``.
     """
     metric = get_metric(metric)
-    bk = resolve_backend(kernel_backend)
     if prune not in ("auto", "off", "grid", "dense"):
         raise ValueError(
             f"prune must be 'auto', 'off', 'grid' or 'dense', got {prune!r}"
@@ -761,7 +676,6 @@ def charikar_greedy(
         return GreedyResult(idx, 0.0, 0.0, np.zeros(n, dtype=bool))
     if k <= 0:
         raise ValueError("k must be positive")
-    ws = Workspace()
     path = "dense"
     hierarchy: "PointGridHierarchy | None" = None
     stats = {
@@ -778,15 +692,12 @@ def charikar_greedy(
         path = "pairwise"
         # ONE distance matrix for the whole call; every guess below reuses
         # it (plus the workspace's mask/membership buffers).
-        D = metric.pairwise_block(
-            wps.points, wps.points, dtype=dtype, workspace=ws, backend=bk
-        )
+        D = metric.pairwise(wps.points, wps.points)
+        ws = Workspace()
         # radius 0 can be optimal (duplicates, or light far points absorbed
         # by the outlier budget); test it outright before the positive
         # candidates
-        ok0, centers0, uncovered0 = _greedy_disks(
-            D, wps.weights, k, z, 0.0, ws, backend=bk
-        )
+        ok0, centers0, uncovered0 = _greedy_disks(D, wps.weights, k, z, 0.0, ws)
         if ok0:
             return GreedyResult(
                 np.asarray(centers0, dtype=int), 0.0, 0.0, uncovered0, path
@@ -807,9 +718,7 @@ def charikar_greedy(
         # Feasibility is monotone for guesses >= opt (Charikar et al.);
         # binary search for the smallest feasible candidate.
         lo, hi = 0, len(cand) - 1
-        feasible_hi = _greedy_disks(
-            D, wps.weights, k, z, float(cand[hi]), ws, backend=bk
-        )
+        feasible_hi = _greedy_disks(D, wps.weights, k, z, float(cand[hi]), ws)
         if not feasible_hi[0]:
             # cannot happen for guess >= diameter; guard anyway
             raise RuntimeError("greedy decision failed at maximum candidate radius")
@@ -817,9 +726,7 @@ def charikar_greedy(
         while lo <= hi:
             mid = (lo + hi) // 2
             g = float(cand[mid])
-            ok, centers, uncovered = _greedy_disks(
-                D, wps.weights, k, z, g, ws, backend=bk
-            )
+            ok, centers, uncovered = _greedy_disks(D, wps.weights, k, z, g, ws)
             if ok:
                 best = (g, centers, uncovered)
                 hi = mid - 1
@@ -847,15 +754,11 @@ def charikar_greedy(
                 if grid is not None:
                     paths_used.add("grid")
                     return _grid_decision(
-                        wps, metric, k, z, g, grid, ws, backend=bk,
-                        executor=executor, stats=stats,
+                        wps, metric, k, z, g, grid, executor=executor,
+                        stats=stats,
                     )
             paths_used.add("dense")
-            return _geometric_decision(
-                wps, metric, k, z, g,
-                dtype=dtype, kernel_chunk=kernel_chunk, workspace=ws,
-                backend=bk,
-            )
+            return _geometric_decision(wps, metric, k, z, g)
 
         def geometric_path():
             if paths_used == {"grid"}:

@@ -212,9 +212,6 @@ def mbc_construction(
     metric: "Metric | str | None" = None,
     radius: "float | None" = None,
     order: "np.ndarray | None" = None,
-    dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
     prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MiniBallCovering:
@@ -229,10 +226,9 @@ def mbc_construction(
     order:
         Optional permutation controlling which 'arbitrary point' is picked
         first (the guarantee holds for any order).
-    dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
-        Distance-kernel and pruning knobs for the embedded radius search
-        (see :func:`repro.core.greedy.charikar_greedy`); the absorption
-        itself always evaluates exact float64 distances.  When the radius
+    prune, decision_jobs:
+        Pruning knobs for the embedded radius search (see
+        :func:`repro.core.greedy.charikar_greedy`).  When the radius
         search ran its grid-pruned path, the absorption reuses its
         persistent grid ladder instead of re-bucketing the points.
 
@@ -246,8 +242,7 @@ def mbc_construction(
     hierarchy = None
     if radius is None:
         res = charikar_greedy(
-            wps, k, z, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend,
+            wps, k, z, metric,
             prune=prune if prune is not None else "auto",
             decision_jobs=decision_jobs,
         )

@@ -46,9 +46,6 @@ def one_round_coreset(
     cluster: "SimulatedMPC | None" = None,
     parallel: bool = False,
     executor=None,
-    dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
     prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
@@ -62,10 +59,9 @@ def one_round_coreset(
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
     results are bit-identical under every executor.  ``parallel=True``
-    is the legacy spelling of ``executor="thread"``.  ``dtype`` /
-    ``kernel_chunk`` / ``kernel_backend`` / ``prune`` / ``decision_jobs``
-    select the distance kernel and grid pruning (:mod:`repro.kernels`,
-    :func:`repro.core.greedy.charikar_greedy`) for the machine-local and
+    is the legacy spelling of ``executor="thread"``.  ``prune`` /
+    ``decision_jobs`` select the grid pruning
+    (:func:`repro.core.greedy.charikar_greedy`) of the machine-local and
     coordinator MBC constructions.
     """
     metric = get_metric(metric)
@@ -82,8 +78,7 @@ def one_round_coreset(
     mbcs = map_machines(
         resolve_executor(executor, parallel),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, dtype, kernel_chunk,
-          kernel_backend, prune, decision_jobs)
+        [(part, k, zprime, eps, metric, None, prune, decision_jobs)
          for part in parts],
         machines=machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
@@ -100,8 +95,7 @@ def one_round_coreset(
     )
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend, prune=prune,
+            union, k, z, eps, metric, prune=prune,
             decision_jobs=decision_jobs,
         )
         coreset = final_mbc.coreset

@@ -105,9 +105,6 @@ def two_round_coreset(
     cluster: "SimulatedMPC | None" = None,
     parallel: bool = False,
     executor=None,
-    dtype=None,
-    kernel_chunk: "int | None" = None,
-    kernel_backend: "str | None" = None,
     prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
@@ -132,10 +129,9 @@ def two_round_coreset(
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    dtype, kernel_chunk, kernel_backend, prune, decision_jobs:
-        Distance-kernel and grid-pruning knobs (:mod:`repro.kernels`,
-        :func:`repro.core.greedy.charikar_greedy`), shipped inside the
-        task tuples so process workers honor them too.
+    prune, decision_jobs:
+        Grid-pruning knobs (:func:`repro.core.greedy.charikar_greedy`),
+        shipped inside the task tuples so process workers honor them too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
     re-compressed, ``eps`` otherwise.
@@ -161,8 +157,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, dtype, kernel_chunk, kernel_backend,
-              prune, decision_jobs)
+            [(part, k, veclen, metric, prune, decision_jobs)
              for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
@@ -181,7 +176,7 @@ def two_round_coreset(
             mbc_task,
             [
                 (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 dtype, kernel_chunk, kernel_backend, prune, decision_jobs)
+                 prune, decision_jobs)
                 for part, jhat, vec in zip(parts, jhats, vectors)
             ],
             machines=machines,
@@ -196,8 +191,7 @@ def two_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(part, k, z, eps, metric, None, dtype, kernel_chunk,
-              kernel_backend, prune, decision_jobs)
+            [(part, k, z, eps, metric, None, prune, decision_jobs)
              for part in parts],
             machines=machines,
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
@@ -214,8 +208,7 @@ def two_round_coreset(
     ) else WeightedPointSet.empty(parts[0].dim)
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, dtype=dtype, kernel_chunk=kernel_chunk,
-            kernel_backend=kernel_backend, prune=prune,
+            union, k, z, eps, metric, prune=prune,
             decision_jobs=decision_jobs,
         )
         coreset = final_mbc.coreset

@@ -1,6 +1,8 @@
 """Facade unit tests: ProblemSpec validation, registry error handling,
 session behaviour and the backend protocol."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,36 @@ class TestProblemSpec:
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
                      "seed": 0, "dim": 1, "executor": None, "jobs": None,
-                     "dtype": None, "kernel_chunk": None,
-                     "kernel_backend": None, "prune": None,
-                     "decision_jobs": None}
+                     "prune": None, "decision_jobs": None}
+
+    def test_ten_settable_fields(self):
+        settable = [f.name for f in fields(ProblemSpec) if f.init]
+        assert len(settable) == 10
+        assert set(settable) == set(ProblemSpec(1, 0, 1.0).as_dict())
+
+    @pytest.mark.parametrize("knob", [
+        {"dtype": "float32"}, {"dtype": "float64"}, {"kernel_chunk": 512},
+        {"kernel_backend": "numpy"},
+    ])
+    def test_retired_kernel_knobs_are_not_fields(self, knob):
+        with pytest.raises(TypeError):
+            ProblemSpec(k=1, z=0, eps=0.5, **knob)
+
+    def test_from_dict_drops_retired_keys_that_never_changed_results(self):
+        spec = ProblemSpec(2, 3, 0.5, dim=1, seed=0)
+        for retired in (
+            {"dtype": None, "kernel_chunk": None, "kernel_backend": None},
+            {"dtype": "float64", "kernel_chunk": 2048,
+             "kernel_backend": "numpy"},
+        ):
+            doc = {**spec.as_dict(), **retired}
+            assert ProblemSpec.from_dict(doc).as_dict() == spec.as_dict()
+        assert ProblemSpec.from_dict(spec.as_dict()).as_dict() == spec.as_dict()
+
+    def test_from_dict_rejects_float32_naming_dtype(self):
+        doc = {**ProblemSpec(2, 3, 0.5).as_dict(), "dtype": "float32"}
+        with pytest.raises(ValueError, match="dtype"):
+            ProblemSpec.from_dict(doc)
 
 
 class TestRegistry:
@@ -267,7 +296,78 @@ class TestSession:
     def test_top_level_exports(self):
         import repro
 
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "2.0.0"
         assert repro.ProblemSpec is ProblemSpec
         assert repro.KCenterSession is KCenterSession
         assert "api" in repro.__all__
+
+
+#: construction options per backend family (integer-grid backends need a
+#: universe, the sliding window its scale bounds)
+_OPTIONS = {
+    "dynamic": {"delta_universe": 64, "s_override": 24},
+    "dynamic-deterministic": {"delta_universe": 64, "s_override": 24},
+    "sliding-window": {"window": 120, "r_min": 0.05, "r_max": 40.0},
+}
+
+
+def _good_points(n=40, seed=0):
+    # integer coordinates in 1..63 suit every backend, the dynamic
+    # ones included
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, 64, size=(n, 2)).astype(float)
+
+
+class TestExtendValidation:
+    """``extend`` rejects malformed input before it reaches the backend,
+    leaving the session exactly as it was."""
+
+    BAD = {
+        "nan": np.array([[1.0, 2.0], [np.nan, 3.0]]),
+        "inf": np.array([[1.0, 2.0], [np.inf, 3.0]]),
+        "neg-inf": np.array([[-np.inf, 2.0]]),
+        "too-wide": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        "too-narrow": np.array([[1.0], [2.0]]),
+        "3-d": np.ones((2, 2, 2)),
+    }
+
+    def _session(self, backend):
+        spec = ProblemSpec(k=2, z=3, eps=0.5, dim=2, seed=0)
+        return KCenterSession.from_spec(spec, backend=backend,
+                                        **_OPTIONS.get(backend, {}))
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_rejected_and_state_unchanged(self, backend, bad):
+        head, tail = _good_points(seed=1), _good_points(seed=2)
+        clean = self._session(backend)
+        clean.extend(head)
+        clean.extend(tail)
+
+        sess = self._session(backend)
+        sess.extend(head)
+        with pytest.raises(ValueError):
+            sess.extend(self.BAD[bad])
+        assert sess.updates_seen == len(head)
+        sess.extend(tail)
+        a, b = clean.coreset(), sess.coreset()
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
+        assert clean.solve().radius == sess.solve().radius
+
+    @pytest.mark.parametrize("bad", ["nan", "too-wide"])
+    def test_bad_chunk_in_a_stream_is_rejected(self, bad):
+        sess = self._session("insertion-only")
+        good = _good_points()
+        chunks = iter([(good, None), (self.BAD[bad], None)])
+        with pytest.raises(ValueError):
+            sess.extend(chunks)
+        assert sess.updates_seen == len(good)  # the earlier chunk stays
+
+    def test_dim_unset_accepts_any_width(self):
+        spec = ProblemSpec(k=2, z=3, eps=0.5, seed=0)
+        sess = KCenterSession.from_spec(spec, backend="offline")
+        sess.extend(np.ones((5, 3)))
+        with pytest.raises(ValueError):
+            sess.extend(np.array([[np.nan, 1.0, 1.0]]))
+        assert sess.updates_seen == 5

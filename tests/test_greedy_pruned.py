@@ -1,5 +1,5 @@
 """The grid-pruned candidate scans: PointGrid correctness, the sparse
-pair-distance kernel, workspace norm-subset reuse, and bit-for-bit
+pair-distance kernel, and bit-for-bit
 parity of the pruned geometric search against the dense path on
 adversarial layouts.
 
@@ -131,33 +131,6 @@ class TestPairDistances:
 
 
 # ---------------------------------------------------------------------------
-# Workspace.take — cached norm subsets for the pruned scans
-# ---------------------------------------------------------------------------
-
-
-class TestWorkspaceTake:
-    def test_subset_norms_bit_equal_and_seeded(self, rng):
-        ws = Workspace()
-        base = rng.normal(size=(50, 3)).astype(np.float32)
-        full = ws.sqnorms(base)
-        idx = np.array([4, 9, 11, 30])
-        sub = ws.take(base, idx)
-        np.testing.assert_array_equal(sub, base[idx])
-        # the subset's norms were seeded from the cached full reduction
-        np.testing.assert_array_equal(ws.sqnorms(sub), full[idx])
-
-    def test_memoized_per_index_set(self, rng):
-        ws = Workspace()
-        base = rng.normal(size=(20, 2))
-        idx = np.array([1, 3, 5])
-        sub1 = ws.take(base, idx)
-        sub2 = ws.take(base, idx.copy())  # equal content, distinct array
-        assert sub1 is sub2
-        other = ws.take(base, np.array([2, 4]))
-        assert other is not sub1
-
-
-# ---------------------------------------------------------------------------
 # Pruned-vs-dense parity on adversarial layouts
 # ---------------------------------------------------------------------------
 
@@ -272,18 +245,6 @@ class TestPruneKnob:
         pts = rng.uniform(0, 10, size=(64, 6))
         P = WeightedPointSet(pts, np.ones(64, dtype=np.int64))
         assert charikar_greedy(P, 3, 2, pairwise_limit=8).path == "dense"
-
-    def test_float32_kernel_prunes_with_float64_parity(self, rng):
-        # float32 sessions now take the grid path too: the pruned scans
-        # always evaluate exact float64 sparse distances, so the result
-        # is bit-identical to the float64 dense reference (not merely to
-        # a float32 dense run)
-        pts = rng.uniform(0, 10, size=(300, 2))
-        P = WeightedPointSet(pts, np.ones(300, dtype=np.int64))
-        res = charikar_greedy(P, 3, 2, pairwise_limit=8, dtype="float32")
-        assert res.path in ("grid", "mixed")
-        dense64 = charikar_greedy(P, 3, 2, pairwise_limit=8, prune="off")
-        _assert_same_result(res, dense64)
 
     def test_force_grid_and_dense(self, rng):
         pts = rng.uniform(0, 10, size=(200, 2))

@@ -145,19 +145,19 @@ class TestCacheKeyResolution:
                                    True, 0, inst.spec,
                                    inst.session_options(info))
         assert params["spec"] == inst.spec.as_dict()
-        assert {"dtype", "kernel_chunk"} <= set(params["spec"])
+        assert {"prune", "decision_jobs"} <= set(params["spec"])
         assert "options" in params
 
-    def test_dtype_change_misses_the_cache(self, tmp_path):
-        # the stale-cache hazard: a --dtype change must recompute, not
-        # serve the float64 cell
+    def test_decision_jobs_change_misses_the_cache(self, tmp_path):
+        # the stale-cache hazard: a spec-knob change must recompute, not
+        # serve the cell cached under the old spec
         first = run_matrix(["clustered-baseline"], ["offline"], quick=True,
                            cache_root=str(tmp_path))
         assert first.cells[0].status == "ok"
         n_entries = len(list(tmp_path.glob("matrix-cell-*.pkl")))
         assert n_entries == 1
         other = run_matrix(["clustered-baseline"], ["offline"], quick=True,
-                           cache_root=str(tmp_path), dtype="float32")
+                           cache_root=str(tmp_path), decision_jobs=2)
         assert other.cells[0].status == "ok"
         assert len(list(tmp_path.glob("matrix-cell-*.pkl"))) == n_entries + 1
 
@@ -355,19 +355,24 @@ class TestCLI:
     def test_matrix_bad_jobs_exits_2(self, capsys):
         assert experiments_main(["matrix", "--jobs", "0"]) == 2
 
-    def test_matrix_checkpoint_dir_and_dtype_flags(self, tmp_path, capsys):
+    def test_matrix_checkpoint_dir_flag(self, tmp_path, capsys):
         rc = experiments_main([
             "matrix", "--quick", "--no-cache",
             "--scenarios", "outlier-burst", "--backends", "offline",
             "--results-dir", str(tmp_path),
             "--checkpoint-dir", str(tmp_path / "ckpts"),
-            "--dtype", "float32",
         ])
         assert rc == 0
         doc = json.loads((tmp_path / "matrix.json").read_text())
         assert doc["cells"][0]["status"] == "ok"
         # the clean run leaves no checkpoints behind
         assert not list((tmp_path / "ckpts").glob("*.ckpt"))
+
+    def test_matrix_rejects_retired_dtype_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["matrix", "--dtype", "float32"])
+        assert exc.value.code == 2
+        assert "--dtype" in capsys.readouterr().err
 
     def test_matrix_empty_selection_exits_2(self, capsys):
         assert experiments_main(["matrix", "--backends", ","]) == 2

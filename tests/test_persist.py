@@ -268,6 +268,53 @@ class TestSnapshotFile:
             b.backend.restore(a.backend.snapshot())
 
 
+class TestRetiredSpecKeys:
+    """Snapshots from before the float64-only kernel carry ``dtype``,
+    ``kernel_chunk`` and ``kernel_backend`` in their spec dict."""
+
+    def _resave_with(self, tmp_path, backend, retired):
+        src = str(tmp_path / "new.ckpt")
+        sess = _make(backend)
+        sess.extend(_stream(backend, 5, n=80))
+        sess.save(src)
+        manifest, state = read_snapshot(src)
+        manifest["spec"] = {**manifest["spec"], **retired}
+        old = str(tmp_path / "old.ckpt")
+        write_snapshot(old, manifest, state)
+        return old
+
+    @pytest.mark.parametrize("backend", ["insertion-only", "mpc-two-round"])
+    def test_default_kernel_keys_restore_bit_identically(self, tmp_path,
+                                                         backend):
+        old = self._resave_with(tmp_path, backend, {
+            "dtype": None, "kernel_chunk": None, "kernel_backend": None,
+        })
+        resumed = KCenterSession.load(old)
+        full = _make(backend)
+        full.extend(_stream(backend, 5, n=80))
+        resumed.extend(_stream(backend, 6, n=40))
+        full.extend(_stream(backend, 6, n=40))
+        a, b = full.coreset(), resumed.coreset()
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
+        assert full.solve().radius == resumed.solve().radius
+        assert _stats_no_wall(full) == _stats_no_wall(resumed)
+
+    def test_explicit_float64_keys_restore(self, tmp_path):
+        old = self._resave_with(tmp_path, "insertion-only", {
+            "dtype": "float64", "kernel_chunk": 4096,
+            "kernel_backend": "numpy",
+        })
+        resumed = KCenterSession.load(old)
+        assert resumed.spec.as_dict() == _spec().as_dict()
+
+    def test_float32_snapshot_raises_naming_dtype(self, tmp_path):
+        old = self._resave_with(tmp_path, "insertion-only",
+                                {"dtype": "float32"})
+        with pytest.raises(SnapshotError, match="dtype"):
+            KCenterSession.load(old)
+
+
 class TestUnsupportedBackends:
     def test_custom_backend_without_snapshot(self, tmp_path):
         class Minimal:

@@ -165,8 +165,8 @@ class TestSessionRoutes:
         assert np.array_equal(np.asarray(doc["centers"]), want.centers)
         assert doc["coreset_size"] == want.coreset_size
         assert doc["radius_ratio"] == pytest.approx(1.0)
-        # kernel provenance rides along with every solve
-        assert doc["kernel_backend"] == "numpy"
+        # greedy provenance rides along with every solve
+        assert "kernel_backend" not in doc
         assert doc["greedy_path"] in ("pairwise", "grid", "dense", "mixed")
 
     def test_delete_points_routes(self, server, client):
@@ -234,10 +234,11 @@ class TestMetricsEndpoint:
         hist = [s for s in fams["repro_serve_request_seconds"]["samples"]
                 if s[0].endswith("_count") and s[1]["op"] == "extend"]
         assert hist and float(hist[0][2]) == 1
-        # the solve also landed in the per-kernel-backend histogram
-        khist = [s for s in fams["repro_serve_solve_seconds"]["samples"]
-                 if s[0].endswith("_count") and s[1]["kernel"] == "numpy"]
-        assert khist and float(khist[0][2]) == 1
+        # the solve also landed in the solve-latency histogram
+        shist = [s for s in fams["repro_serve_solve_seconds"]["samples"]
+                 if s[0].endswith("_count")
+                 and s[1] == {"backend": "insertion-only"}]
+        assert shist and float(shist[0][2]) == 1
 
     def test_session_gauges_are_removed_on_drop(self, server, client):
         _create(client, "a")
