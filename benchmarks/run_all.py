@@ -177,7 +177,6 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
         charikar_greedy,
     )
     from repro.core.metrics import get_metric
-    from repro.kernels import Workspace
 
     n = 50_000 if quick else 100_000
     k, z = 16, 100 if quick else 200
@@ -188,10 +187,10 @@ def bench_charikar_scale_100k(quick: bool) -> dict:
     grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
     assert grid is not None, "grid must apply at benchmark sizes"
     pruned_s, pruned = _timed(
-        lambda: _grid_decision(P, met, k, z, g, grid, Workspace())
+        lambda: _grid_decision(P, met, k, z, g, grid)
     )
     dense_s, dense = _timed(
-        lambda: _geometric_decision(P, met, k, z, g, workspace=Workspace())
+        lambda: _geometric_decision(P, met, k, z, g)
     )
     assert pruned[0] == dense[0] and pruned[1] == dense[1], \
         "pruned/dense decision parity violated"

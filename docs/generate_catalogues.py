@@ -72,8 +72,10 @@ def generate_backends() -> str:
         "  universe size; coordinates must lie in `1..Delta`).",
         "- `sliding-window` — `window`, `r_min`, `r_max` (window length and",
         "  the radius-ladder bounds).",
-        "- MPC backends — optional `num_machines`, `partition`, `executor`,",
-        "  `jobs`, `prune`, `decision_jobs`.",
+        "- MPC backends — optional `num_machines`, `partition` (plus",
+        "  `final_compress`, `outlier_guessing` or `rounds` where the",
+        "  algorithm has them). Execution is set by the spec's `executor`,",
+        "  `jobs` and `decision_jobs` fields, not by session options.",
         "",
         "Custom algorithms plug in via `repro.api.register_backend`; see",
         "`examples/composable_pipeline.py`.",

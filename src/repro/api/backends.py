@@ -331,7 +331,6 @@ class OfflineMBCBackend(_BufferedBackendBase):
             return P
         self.last_mbc = mbc_construction(
             P, self.spec.k, self.spec.z, self.spec.eps, self.spec.resolved_metric,
-            prune=self.spec.prune,
             decision_jobs=self.spec.decision_jobs,
         )
         return self.last_mbc.coreset
@@ -688,15 +687,12 @@ class MPCBackend(_BufferedBackendBase):
         ``"contiguous"`` (arbitrary/adversarial order), ``"random"``
         (the randomized algorithms' input model), or a callable
         ``P -> list[WeightedPointSet]`` for custom distributions.
-    executor, jobs:
-        How machine-local work fans out (see :mod:`repro.engine`):
-        executor name or instance plus worker count.  Defaults to the
-        spec's ``executor``/``jobs`` fields; ``jobs`` alone implies a
-        thread pool.  Results are bit-identical under every executor.
-    prune, decision_jobs:
-        Grid-pruning knobs (:func:`repro.core.greedy.charikar_greedy`) for
-        the machine-local radius searches and MBC constructions; default
-        to the spec's fields, session options override.
+
+    Execution comes from the spec alone: machine-local work fans out
+    through :meth:`ProblemSpec.resolved_executor` (serial unless the
+    spec sets ``executor`` or ``jobs``), and ``spec.decision_jobs``
+    shards the machine-local radius searches.  Results are bit-identical
+    under every setting.
     """
 
     #: default partition scheme; deterministic algorithms tolerate any
@@ -707,31 +703,12 @@ class MPCBackend(_BufferedBackendBase):
         spec: ProblemSpec,
         num_machines: "int | None" = None,
         partition=None,
-        executor=None,
-        jobs: "int | None" = None,
-        prune: "str | None" = None,
-        decision_jobs: "int | None" = None,
     ):
         super().__init__(spec)
         self.num_machines = num_machines
         self.partition = partition if partition is not None else self.default_partition
-        self.executor = self._resolve_executor(executor, jobs)
-        self.prune = prune if prune is not None else spec.prune
-        self.decision_jobs = (
-            decision_jobs if decision_jobs is not None else spec.decision_jobs
-        )
+        self.executor = spec.resolved_executor()
         self.last_result: "MPCCoresetResult | None" = None
-
-    def _resolve_executor(self, executor, jobs):
-        """Session options override the spec's knobs; ``None`` (no knob
-        anywhere) defers to the protocol's legacy ``parallel`` flag."""
-        name = executor if executor is not None else self.spec.executor
-        j = jobs if jobs is not None else self.spec.jobs
-        if name is None and j is None:
-            return None
-        from ..engine import get_executor
-
-        return get_executor(name if name is not None else "thread", j)
 
     def _invalidate(self) -> None:
         self.last_result = None
@@ -791,14 +768,8 @@ class TwoRoundMPCBackend(MPCBackend):
     """Deterministic 2-round algorithm with outlier guessing."""
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 parallel: bool = False, final_compress: bool = True,
-                 outlier_guessing: bool = True, executor=None,
-                 jobs: "int | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         prune, decision_jobs)
-        self.parallel = bool(parallel)
+                 final_compress: bool = True, outlier_guessing: bool = True):
+        super().__init__(spec, num_machines, partition)
         self.final_compress = bool(final_compress)
         self.outlier_guessing = bool(outlier_guessing)
 
@@ -808,10 +779,8 @@ class TwoRoundMPCBackend(MPCBackend):
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
             outlier_guessing=self.outlier_guessing,
-            parallel=self.parallel,
             executor=self.executor,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -838,13 +807,8 @@ class OneRoundMPCBackend(MPCBackend):
     default_partition = "random"
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 parallel: bool = False, final_compress: bool = True,
-                 executor=None, jobs: "int | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         prune, decision_jobs)
-        self.parallel = bool(parallel)
+                 final_compress: bool = True):
+        super().__init__(spec, num_machines, partition)
         self.final_compress = bool(final_compress)
 
     def _run(self, parts):
@@ -852,10 +816,8 @@ class OneRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
-            parallel=self.parallel,
             executor=self.executor,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -879,11 +841,8 @@ class MultiRoundMPCBackend(MPCBackend):
     """Deterministic R-round reduction tree (rounds/storage trade-off)."""
 
     def __init__(self, spec, num_machines=None, partition=None,
-                 rounds: int = 2, executor=None, jobs: "int | None" = None,
-                 prune: "str | None" = None,
-                 decision_jobs: "int | None" = None):
-        super().__init__(spec, num_machines, partition, executor, jobs,
-                         prune, decision_jobs)
+                 rounds: int = 2):
+        super().__init__(spec, num_machines, partition)
         if int(rounds) < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = int(rounds)
@@ -893,8 +852,7 @@ class MultiRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             rounds=self.rounds, metric=self.spec.resolved_metric,
             executor=self.executor,
-            prune=self.prune,
-            decision_jobs=self.decision_jobs,
+            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:

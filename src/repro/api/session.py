@@ -62,6 +62,10 @@ __all__ = ["Solution", "KCenterSession"]
 #: ``kind`` tag in session snapshot manifests.
 _SNAPSHOT_KIND = "kcenter-session"
 
+#: MPC session options older snapshots may carry; execution is set by the
+#: spec alone now, and every value computed the same results
+_RETIRED_OPTIONS = ("executor", "jobs", "parallel", "prune", "decision_jobs")
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -126,7 +130,8 @@ class KCenterSession:
     # -- ingest ------------------------------------------------------------
 
     def insert(self, point) -> None:
-        """Insert a single point."""
+        """Insert a single point (checked like :meth:`extend`)."""
+        self._check_point(point)
         with self._lock:
             t0 = time.perf_counter()
             self.backend.insert(point)
@@ -141,6 +146,7 @@ class KCenterSession:
                 f"backend {self.info.name!r} does not support delete; use a "
                 "fully-dynamic backend ('dynamic' or 'dynamic-deterministic')"
             )
+        self._check_point(point)
         with self._lock:
             t0 = time.perf_counter()
             delete(point)
@@ -212,6 +218,13 @@ class KCenterSession:
             raise ValueError("points must be finite (no NaN or inf)")
         return pts
 
+    def _check_point(self, point) -> None:
+        """:meth:`_check_points` for exactly one point."""
+        if len(self._check_points(point)) != 1:
+            raise ValueError(
+                f"expected a single point, got shape {np.shape(point)}"
+            )
+
     def delete_many(self, points) -> None:
         """Batched deletion (fully-dynamic backends only).
 
@@ -222,9 +235,9 @@ class KCenterSession:
         contract (they validate the whole batch before mutating).
         Backends without any delete support raise a clear
         :class:`~repro.api.backends.UnsupportedOperationError` rather
-        than an ``AttributeError``.
+        than an ``AttributeError``.  ``points`` is checked like
+        :meth:`extend` input before any deletion is applied.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         delete_many = getattr(self.backend, "delete_many", None)
         delete = getattr(self.backend, "delete", None)
         if delete_many is None and delete is None:
@@ -233,6 +246,7 @@ class KCenterSession:
                 "nor delete; use a fully-dynamic backend ('dynamic' or "
                 "'dynamic-deterministic')"
             )
+        pts = self._check_points(points)
         with self._lock:
             t0 = time.perf_counter()
             applied = 0
@@ -286,7 +300,6 @@ class KCenterSession:
             elif method == "greedy3":
                 res = charikar_greedy(
                     cs, spec.k, spec.z, spec.resolved_metric,
-                    prune=spec.prune if spec.prune is not None else "auto",
                     decision_jobs=spec.decision_jobs,
                 )
                 centers, radius = cs.points[res.centers_idx], res.radius
@@ -421,8 +434,9 @@ class KCenterSession:
         **options:
             Overrides layered over the saved construction options.
             Only *recompute-time* knobs may change on resume
-            (``executor``, ``jobs``, ``num_machines``, ``prune``,
-            ``decision_jobs``);
+            (``num_machines``); execution settings live in the spec, and
+            the retired ``executor``, ``jobs``, ``parallel``, ``prune``
+            and ``decision_jobs`` options of older snapshots are dropped;
             geometry-defining options (``window``, ``r_min``/``r_max``,
             ``delta_universe``, sketch sizing) are part of the state's
             meaning and the backend's ``restore`` rejects a mismatch
@@ -484,7 +498,10 @@ class KCenterSession:
                 f"snapshot spec {loaded_spec.as_dict()} != caller spec "
                 f"{spec.as_dict()}"
             )
-        opts = dict(manifest.get("options", {}))
+        opts = {
+            key: value for key, value in manifest.get("options", {}).items()
+            if key not in _RETIRED_OPTIONS
+        }
         opts.update(options)
         sess = cls(loaded_spec, backend=name, **opts)
         restore = getattr(sess.backend, "restore", None)

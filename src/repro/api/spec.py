@@ -25,7 +25,7 @@ __all__ = ["ProblemSpec"]
 
 #: keys older :meth:`ProblemSpec.as_dict` records carry; only a
 #: ``dtype`` other than float64 ever changed results
-_RETIRED_KEYS = ("dtype", "kernel_backend", "kernel_chunk")
+_RETIRED_KEYS = ("dtype", "kernel_backend", "kernel_chunk", "prune")
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,6 @@ class ProblemSpec:
     jobs:
         Worker count for the executor; ``None`` means one worker per
         item up to the CPU count.
-    prune:
-        Grid pruning of the Greedy radius search
-        (:func:`repro.core.greedy.charikar_greedy`): ``None`` / ``"auto"``
-        prunes whenever the exactness gate applies, ``"off"`` (alias
-        ``"dense"``) forces the dense chunked path, ``"grid"`` *requires*
-        pruning and fails at solve time when the gate is inapplicable.
-        Pruned results are bit-identical to the dense float64 reference.
     decision_jobs:
         Threads each pruned radius-search decision shards its cell scans
         across (``>= 1``; ``None`` means serial).  The deterministic
@@ -85,7 +78,6 @@ class ProblemSpec:
     dim: "int | None" = None
     executor: "str | None" = None
     jobs: "int | None" = None
-    prune: "str | None" = None
     decision_jobs: "int | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
@@ -108,12 +100,6 @@ class ProblemSpec:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.jobs is not None:
             object.__setattr__(self, "jobs", int(self.jobs))
-        if self.prune is not None:
-            if self.prune not in ("auto", "off", "grid", "dense"):
-                raise ValueError(
-                    "prune must be 'auto', 'off', 'grid', 'dense' or None, "
-                    f"got {self.prune!r}"
-                )
         if self.decision_jobs is not None:
             if int(self.decision_jobs) < 1:
                 raise ValueError(
@@ -162,9 +148,9 @@ class ProblemSpec:
 
     def resolved_executor(self):
         """The :class:`~repro.engine.Executor` the spec's ``executor`` /
-        ``jobs`` knobs describe (a fresh instance per call).  Same rule
-        the MPC backends apply: ``jobs`` alone implies a thread pool,
-        neither knob means serial."""
+        ``jobs`` knobs describe (a fresh instance per call), which the
+        MPC backends fan out through: ``jobs`` alone implies a thread
+        pool, neither knob means serial."""
         from ..engine import get_executor  # local: keep spec import-light
 
         if self.executor is None and self.jobs is None:
@@ -179,11 +165,11 @@ class ProblemSpec:
     def from_dict(cls, doc: dict) -> "ProblemSpec":
         """Rebuild a spec from an :meth:`as_dict` record.
 
-        Records written before the distance kernel became float64-only
-        carry three retired keys: ``dtype``, ``kernel_backend`` and
-        ``kernel_chunk``.  They are dropped, since the float64 kernel
-        computes what they computed (every kernel backend and chunk size
-        was bit-identical).  A record with a ``dtype`` other than
+        Older records carry four retired keys: ``dtype``,
+        ``kernel_backend``, ``kernel_chunk`` and ``prune``.  They are
+        dropped, since what remains computes what they computed (every
+        kernel backend, chunk size and ``prune`` value was
+        bit-identical).  A record with a ``dtype`` other than
         ``"float64"`` raises :class:`ValueError` naming ``dtype``: its
         lower-precision results cannot be reproduced.
         """
@@ -204,7 +190,7 @@ class ProblemSpec:
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
             "executor": self.executor, "jobs": self.jobs,
-            "prune": self.prune, "decision_jobs": self.decision_jobs,
+            "decision_jobs": self.decision_jobs,
         }
         base.update(changes)
         return ProblemSpec(**base)
@@ -220,7 +206,6 @@ class ProblemSpec:
             "dim": self.dim,
             "executor": self.executor,
             "jobs": self.jobs,
-            "prune": self.prune,
             "decision_jobs": self.decision_jobs,
         }
 

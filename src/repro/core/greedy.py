@@ -282,7 +282,6 @@ def _geometric_decision(
     k: int,
     z: int,
     guess: float,
-    workspace: "Workspace | None" = None,
 ) -> "tuple[bool, list[int], np.ndarray]":
     """Charikar decision without a full distance matrix (chunked).
 
@@ -291,8 +290,7 @@ def _geometric_decision(
     block — ``O(n^2)`` distance evaluations per guess in total, versus the
     pre-refactor ``O(k n^2)`` (a fresh full pass per pick).  Used when
     ``n > PAIRWISE_LIMIT`` and the grid pruning of :func:`_grid_decision`
-    does not apply.  ``workspace`` is accepted for signature parity with
-    the other decision procedures; the row blocks need no scratch.
+    does not apply.
     """
     pts = wps.points
     n = len(pts)
@@ -529,7 +527,6 @@ def _grid_decision(
     z: int,
     guess: float,
     grid: PointGrid,
-    workspace: "Workspace | None" = None,
     executor: "ThreadExecutor | None" = None,
     stats: "dict | None" = None,
 ) -> "tuple[bool, list[int], np.ndarray]":
@@ -546,9 +543,7 @@ def _grid_decision(
     entries, and
     integer weights make every accumulated gain an exact float64 integer
     in any summation order — so each argmax pick matches the dense pick,
-    including tie-breaks, serial or sharded.  ``workspace`` is accepted
-    for signature parity with the other decision procedures; the sparse
-    scans need no scratch.
+    including tie-breaks, serial or sharded.
     """
     pts = wps.points
     n = len(pts)
@@ -601,7 +596,6 @@ def charikar_greedy(
     metric: "Metric | str | None" = None,
     tol: float = 0.05,
     pairwise_limit: int = PAIRWISE_LIMIT,
-    prune: str = "auto",
     decision_jobs: "int | None" = None,
 ) -> GreedyResult:
     """Weighted 3-approximation for k-center with ``z`` outliers.
@@ -625,14 +619,11 @@ def charikar_greedy(
     computed once per call and shared across every binary-search guess,
     with the per-guess buffers held in a :class:`repro.kernels.Workspace`.
 
-    ``prune`` controls the grid-pruned candidate scans of the geometric
-    search: ``"auto"`` (default) uses them whenever they are exact — a
-    built-in norm in dimension <= 4 with integer weights totalling under
-    ``2**53`` — ``"off"`` (alias ``"dense"``) forces the dense chunked
-    path, and ``"grid"`` *requires* pruning, raising :class:`ValueError`
-    when the gate is inapplicable instead of silently falling back.
-    Pruned results are bit-identical to the dense reference.
-    :attr:`GreedyResult.path` records what ran.
+    The geometric search prunes its candidate scans through a grid
+    whenever that is exact — a built-in norm in dimension <= 4 with
+    integer weights totalling under ``2**53`` — and otherwise runs the
+    dense chunked path.  Pruned results are bit-identical to the dense
+    reference.  :attr:`GreedyResult.path` records what ran.
 
     ``decision_jobs`` shards each pruned decision's cell scans across
     that many threads (:class:`repro.engine.ThreadExecutor`, created
@@ -644,10 +635,6 @@ def charikar_greedy(
     be an outlier) or ``k >= n``, the radius is ``0``.
     """
     metric = get_metric(metric)
-    if prune not in ("auto", "off", "grid", "dense"):
-        raise ValueError(
-            f"prune must be 'auto', 'off', 'grid' or 'dense', got {prune!r}"
-        )
     jobs = 1 if decision_jobs is None else int(decision_jobs)
     if jobs < 1:
         raise ValueError(f"decision_jobs must be >= 1, got {decision_jobs!r}")
@@ -663,13 +650,6 @@ def charikar_greedy(
         and np.issubdtype(wps.weights.dtype, np.integer)
         and float(wps.weights.sum()) < 2.0**53
     )
-    if prune == "grid" and not grid_ok:
-        raise ValueError(
-            "prune='grid' requires a built-in norm on 2-D coordinate arrays "
-            f"of dimension <= {_GRID_MAX_DIM} with integer weights totalling "
-            "under 2**53 (the exactness gate); use prune='auto' to fall back "
-            "to the dense path automatically"
-        )
     n = len(wps)
     if n == 0 or wps.total_weight <= z or k >= n:
         idx = np.arange(min(k, n), dtype=int)
@@ -736,7 +716,7 @@ def charikar_greedy(
     else:
         # geometric search between a positive lower bound and the Gonzalez
         # (k-center, no outliers) radius, which upper-bounds opt_{k,z}.
-        use_grid = prune in ("auto", "grid") and grid_ok
+        use_grid = grid_ok
         paths_used = set()
         executor = ThreadExecutor(jobs=jobs) if use_grid and jobs > 1 else None
 

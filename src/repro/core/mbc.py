@@ -212,7 +212,6 @@ def mbc_construction(
     metric: "Metric | str | None" = None,
     radius: "float | None" = None,
     order: "np.ndarray | None" = None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MiniBallCovering:
     """Algorithm 1: ``MBCConstruction(P, k, z, eps)``.
@@ -226,8 +225,8 @@ def mbc_construction(
     order:
         Optional permutation controlling which 'arbitrary point' is picked
         first (the guarantee holds for any order).
-    prune, decision_jobs:
-        Pruning knobs for the embedded radius search (see
+    decision_jobs:
+        Decision sharding of the embedded radius search (see
         :func:`repro.core.greedy.charikar_greedy`).  When the radius
         search ran its grid-pruned path, the absorption reuses its
         persistent grid ladder instead of re-bucketing the points.
@@ -241,11 +240,7 @@ def mbc_construction(
     metric = get_metric(metric)
     hierarchy = None
     if radius is None:
-        res = charikar_greedy(
-            wps, k, z, metric,
-            prune=prune if prune is not None else "auto",
-            decision_jobs=decision_jobs,
-        )
+        res = charikar_greedy(wps, k, z, metric, decision_jobs=decision_jobs)
         radius = res.radius
         hierarchy = res.geometry
     delta = eps * radius / 3.0

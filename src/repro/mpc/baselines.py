@@ -24,8 +24,8 @@ from ..core.greedy import gonzalez
 from ..core.mbc import update_coreset
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC
 from .one_round import random_outlier_budget
 from .result import MPCCoresetResult
 from .tasks import cpp_local_task
@@ -75,7 +75,7 @@ def _run_one_round(
         raise ValueError("cluster size does not match number of parts")
     machines = cluster.machines
     locals_ = map_machines(
-        resolve_executor(executor),
+        get_executor(executor),
         cpp_local_task,
         [(part, k, budgets[i], eps, metric) for i, part in enumerate(parts)],
         machines=machines,

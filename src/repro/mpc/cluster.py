@@ -19,21 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import Executor, get_executor
 from .machine import Machine
 
-__all__ = ["MPCStats", "SimulatedMPC", "resolve_executor"]
-
-
-def resolve_executor(executor, parallel: bool = False) -> Executor:
-    """Resolve the protocols' ``(executor, parallel)`` knob pair.
-
-    ``executor`` wins when given (name, ``Executor`` instance, or
-    ``None``); the legacy ``parallel=True`` flag means a thread pool.
-    """
-    if executor is not None:
-        return get_executor(executor)
-    return get_executor("thread" if parallel else None)
+__all__ = ["MPCStats", "SimulatedMPC"]
 
 
 @dataclass(frozen=True)

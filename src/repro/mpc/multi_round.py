@@ -14,8 +14,8 @@ from math import ceil
 
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC
 from .result import MPCCoresetResult
 from .tasks import mbc_task
 
@@ -30,9 +30,7 @@ def multi_round_coreset(
     rounds: int,
     metric=None,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 7 with ``R = rounds`` communication rounds.
@@ -40,9 +38,8 @@ def multi_round_coreset(
     ``parts[i]`` is machine ``i``'s initial data (machine 0 is the paper's
     ``M_1``, the coordinator).  ``eps_guarantee = (1+eps)^rounds - 1``.
     The per-round machine-local MBC constructions fan out through
-    ``executor`` (bit-identical results under every executor);
-    ``parallel=True`` is the legacy spelling of ``executor="thread"``.
-    ``prune`` / ``decision_jobs`` select the grid pruning
+    ``executor`` (bit-identical results under every executor).
+    ``decision_jobs`` shards the radius-search decisions
     (:func:`repro.core.greedy.charikar_greedy`) of every per-round MBC
     construction.
     """
@@ -56,7 +53,7 @@ def multi_round_coreset(
     if cluster.m != m:
         raise ValueError("cluster size does not match number of parts")
     machines = cluster.machines
-    exec_ = resolve_executor(executor, parallel)
+    exec_ = get_executor(executor)
     beta = max(2, int(ceil(m ** (1.0 / rounds))))
     dim = parts[0].dim
 
@@ -73,7 +70,7 @@ def multi_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(Q[i], k, z, eps, metric, None, prune, decision_jobs)
+            [(Q[i], k, z, eps, metric, None, decision_jobs)
              for i in range(active)],
             machines=machines[:active],
             charge=lambda mach, task, mbc: mach.charge(mbc.size),

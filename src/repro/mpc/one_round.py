@@ -16,8 +16,8 @@ from math import ceil, log2
 from ..core.mbc import compose_errors, mbc_construction
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC
 from .result import MPCCoresetResult
 from .tasks import mbc_task
 
@@ -44,9 +44,7 @@ def one_round_coreset(
     metric=None,
     final_compress: bool = True,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 6 on randomly partitioned input.
@@ -58,9 +56,8 @@ def one_round_coreset(
 
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
-    results are bit-identical under every executor.  ``parallel=True``
-    is the legacy spelling of ``executor="thread"``.  ``prune`` /
-    ``decision_jobs`` select the grid pruning
+    results are bit-identical under every executor.  ``decision_jobs``
+    shards the radius-search decisions
     (:func:`repro.core.greedy.charikar_greedy`) of the machine-local and
     coordinator MBC constructions.
     """
@@ -76,9 +73,9 @@ def one_round_coreset(
     zprime = random_outlier_budget(n, m, z)
 
     mbcs = map_machines(
-        resolve_executor(executor, parallel),
+        get_executor(executor),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, prune, decision_jobs)
+        [(part, k, zprime, eps, metric, None, decision_jobs)
          for part in parts],
         machines=machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
@@ -95,8 +92,7 @@ def one_round_coreset(
     )
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, prune=prune,
-            decision_jobs=decision_jobs,
+            union, k, z, eps, metric, decision_jobs=decision_jobs,
         )
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)

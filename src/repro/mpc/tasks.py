@@ -20,32 +20,30 @@ __all__ = ["mbc_task", "radius_vector_task", "cpp_local_task"]
 
 
 def mbc_task(args) -> MiniBallCovering:
-    """``(part, k, z_local, eps, metric, radius, prune, decision_jobs)`` →
+    """``(part, k, z_local, eps, metric, radius, decision_jobs)`` →
     ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7).
 
-    The grid-pruning knobs (:func:`repro.core.greedy.charikar_greedy`)
-    ride inside the task tuple because a ``ProcessExecutor`` worker only
-    sees the tuple.
+    ``decision_jobs`` (:func:`repro.core.greedy.charikar_greedy`) rides
+    inside the task tuple because a ``ProcessExecutor`` worker only sees
+    the tuple.
     """
-    part, k, z_local, eps, metric, radius, prune, decision_jobs = args
+    part, k, z_local, eps, metric, radius, decision_jobs = args
     return mbc_construction(
         part, k, z_local, eps, metric, radius=radius,
-        prune=prune, decision_jobs=decision_jobs,
+        decision_jobs=decision_jobs,
     )
 
 
 def radius_vector_task(args) -> np.ndarray:
-    """``(part, k, veclen, metric, prune, decision_jobs)`` → the round-1
+    """``(part, k, veclen, metric, decision_jobs)`` → the round-1
     vector ``V_i`` of Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)``
     radius."""
-    part, k, veclen, metric, prune, decision_jobs = args
+    part, k, veclen, metric, decision_jobs = args
     v = np.zeros(veclen)
     for j in range(veclen):
         zj = (1 << j) - 1
         v[j] = charikar_greedy(
-            part, k, zj, metric,
-            prune=prune if prune is not None else "auto",
-            decision_jobs=decision_jobs,
+            part, k, zj, metric, decision_jobs=decision_jobs
         ).radius
     return v
 

@@ -36,8 +36,8 @@ import numpy as np
 from ..core.mbc import compose_errors, mbc_construction
 from ..core.metrics import get_metric
 from ..core.points import WeightedPointSet
-from ..engine import map_machines
-from .cluster import SimulatedMPC, resolve_executor
+from ..engine import get_executor, map_machines
+from .cluster import SimulatedMPC
 from .result import MPCCoresetResult
 from .tasks import mbc_task, radius_vector_task
 
@@ -103,9 +103,7 @@ def two_round_coreset(
     final_compress: bool = True,
     outlier_guessing: bool = True,
     cluster: "SimulatedMPC | None" = None,
-    parallel: bool = False,
     executor=None,
-    prune: "str | None" = None,
     decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 2 on pre-partitioned input.
@@ -122,16 +120,14 @@ def two_round_coreset(
     outlier_guessing:
         The paper's mechanism (True) versus naive local budget ``z``
         (False) — ablation E16.  The naive variant needs one round only.
-    parallel:
-        Legacy spelling of ``executor="thread"``.
     executor:
         How the machine-local computations run: an executor name
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    prune, decision_jobs:
-        Grid-pruning knobs (:func:`repro.core.greedy.charikar_greedy`),
-        shipped inside the task tuples so process workers honor them too.
+    decision_jobs:
+        Decision sharding (:func:`repro.core.greedy.charikar_greedy`),
+        shipped inside the task tuples so process workers honor it too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
     re-compressed, ``eps`` otherwise.
@@ -144,7 +140,7 @@ def two_round_coreset(
     if cluster.m != m:
         raise ValueError("cluster size does not match number of parts")
     machines = cluster.machines
-    exec_ = resolve_executor(executor, parallel)
+    exec_ = get_executor(executor)
     for i, part in enumerate(parts):
         machines[i].charge(len(part))  # local input
 
@@ -157,8 +153,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, prune, decision_jobs)
-             for part in parts],
+            [(part, k, veclen, metric, decision_jobs) for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
         )
@@ -176,7 +171,7 @@ def two_round_coreset(
             mbc_task,
             [
                 (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 prune, decision_jobs)
+                 decision_jobs)
                 for part, jhat, vec in zip(parts, jhats, vectors)
             ],
             machines=machines,
@@ -191,7 +186,7 @@ def two_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(part, k, z, eps, metric, None, prune, decision_jobs)
+            [(part, k, z, eps, metric, None, decision_jobs)
              for part in parts],
             machines=machines,
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
@@ -208,8 +203,7 @@ def two_round_coreset(
     ) else WeightedPointSet.empty(parts[0].dim)
     if final_compress and len(union):
         final_mbc = mbc_construction(
-            union, k, z, eps, metric, prune=prune,
-            decision_jobs=decision_jobs,
+            union, k, z, eps, metric, decision_jobs=decision_jobs,
         )
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)

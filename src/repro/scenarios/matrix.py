@@ -15,7 +15,7 @@ Cells are independent, so the harness shards them across a
 :class:`repro.engine` executor (``--jobs``) and caches each cell in a
 :class:`~repro.engine.ResultsCache` keyed by the *fully resolved* cell
 identity — scenario, backend, quick, seed, the complete spec dict
-(including ``prune``/``decision_jobs``) and the derived
+(including ``decision_jobs``) and the derived
 session options — so a knob change can never serve a stale cell.  With
 ``--checkpoint-dir`` each in-flight cell additionally saves a durable
 session snapshot (:mod:`repro.persist`) after every batch: a killed

@@ -37,7 +37,7 @@ class TestProblemSpec:
         {"k": 1, "z": 1, "eps": 1.5},
         {"k": 1, "z": 1, "eps": 0.5, "dim": 0},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -3},
-        {"k": 1, "z": 1, "eps": 0.5, "prune": "maybe"},
+        {"k": 1, "z": 1, "eps": 0.5, "jobs": 0},
         {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": 0},
         {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": -2},
     ])
@@ -45,11 +45,10 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(**kwargs)
 
-    def test_prune_and_decision_jobs_accepted(self):
-        spec = ProblemSpec(1, 0, 1.0, prune="grid", decision_jobs=4)
-        assert spec.prune == "grid"
+    def test_decision_jobs_accepted(self):
+        spec = ProblemSpec(1, 0, 1.0, decision_jobs=4)
         assert spec.decision_jobs == 4 and isinstance(spec.decision_jobs, int)
-        assert ProblemSpec(1, 0, 1.0).prune is None
+        assert ProblemSpec(1, 0, 1.0).decision_jobs is None
 
     def test_metric_resolution(self):
         assert ProblemSpec(1, 0, 1.0, metric="linf").metric_name == "chebyshev"
@@ -84,16 +83,16 @@ class TestProblemSpec:
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
                      "seed": 0, "dim": 1, "executor": None, "jobs": None,
-                     "prune": None, "decision_jobs": None}
+                     "decision_jobs": None}
 
-    def test_ten_settable_fields(self):
+    def test_nine_settable_fields(self):
         settable = [f.name for f in fields(ProblemSpec) if f.init]
-        assert len(settable) == 10
+        assert len(settable) == 9
         assert set(settable) == set(ProblemSpec(1, 0, 1.0).as_dict())
 
     @pytest.mark.parametrize("knob", [
         {"dtype": "float32"}, {"dtype": "float64"}, {"kernel_chunk": 512},
-        {"kernel_backend": "numpy"},
+        {"kernel_backend": "numpy"}, {"prune": "auto"},
     ])
     def test_retired_kernel_knobs_are_not_fields(self, knob):
         with pytest.raises(TypeError):
@@ -296,7 +295,7 @@ class TestSession:
     def test_top_level_exports(self):
         import repro
 
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
         assert repro.ProblemSpec is ProblemSpec
         assert repro.KCenterSession is KCenterSession
         assert "api" in repro.__all__
@@ -319,8 +318,9 @@ def _good_points(n=40, seed=0):
 
 
 class TestExtendValidation:
-    """``extend`` rejects malformed input before it reaches the backend,
-    leaving the session exactly as it was."""
+    """``extend``, ``insert``, ``delete`` and ``delete_many`` reject
+    malformed input before it reaches the backend, leaving the session
+    exactly as it was."""
 
     BAD = {
         "nan": np.array([[1.0, 2.0], [np.nan, 3.0]]),
@@ -336,9 +336,7 @@ class TestExtendValidation:
         return KCenterSession.from_spec(spec, backend=backend,
                                         **_OPTIONS.get(backend, {}))
 
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
-    @pytest.mark.parametrize("bad", sorted(BAD))
-    def test_rejected_and_state_unchanged(self, backend, bad):
+    def _assert_rejected(self, backend, method, bad):
         head, tail = _good_points(seed=1), _good_points(seed=2)
         clean = self._session(backend)
         clean.extend(head)
@@ -347,13 +345,32 @@ class TestExtendValidation:
         sess = self._session(backend)
         sess.extend(head)
         with pytest.raises(ValueError):
-            sess.extend(self.BAD[bad])
+            getattr(sess, method)(bad)
         assert sess.updates_seen == len(head)
         sess.extend(tail)
         a, b = clean.coreset(), sess.coreset()
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
         assert clean.solve().radius == sess.solve().radius
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_rejected_and_state_unchanged(self, backend, bad):
+        self._assert_rejected(backend, "extend", self.BAD[bad])
+
+    @pytest.mark.parametrize("backend,method", [
+        *((name, "insert") for name in sorted(available_backends())),
+        *((name, method)
+          for name in sorted(available_backends())
+          if get_backend(name).supports_delete
+          for method in ("delete", "delete_many")),
+    ])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_point_ops_rejected_and_state_unchanged(self, backend, method,
+                                                    bad):
+        # the single-point methods get the last row (two rows for "3-d")
+        arg = self.BAD[bad] if method == "delete_many" else self.BAD[bad][-1]
+        self._assert_rejected(backend, method, arg)
 
     @pytest.mark.parametrize("bad", ["nan", "too-wide"])
     def test_bad_chunk_in_a_stream_is_rejected(self, bad):

@@ -56,16 +56,16 @@ class TestExecutorParity:
         assert sol0.radius == sol.radius
         assert stats0.per_machine_peak == stats.per_machine_peak
 
-    def test_session_option_overrides_spec(self):
-        """executor/jobs passed as session options beat the spec fields."""
-        spec = ProblemSpec(k=2, z=4, eps=0.5, dim=2, seed=0, executor="serial")
-        wl = clustered_with_outliers(200, 2, 4, 2, rng=np.random.default_rng(1))
-        sess = KCenterSession.from_spec(spec, backend="mpc-two-round",
-                                        num_machines=4, executor="thread", jobs=2)
-        assert sess.backend.executor.name == "thread"
-        assert sess.backend.executor.jobs == 2
-        sess.extend(wl.points)
-        assert len(sess.coreset()) > 0
+    @pytest.mark.parametrize("backend", MPC_BACKENDS)
+    @pytest.mark.parametrize("option", [
+        {"executor": "thread"}, {"jobs": 2}, {"parallel": True},
+        {"prune": "off"}, {"decision_jobs": 2},
+    ])
+    def test_execution_is_not_a_session_option(self, backend, option):
+        """Execution is set by the spec alone."""
+        spec = ProblemSpec(k=2, z=4, eps=0.5, dim=2, seed=0)
+        with pytest.raises(TypeError):
+            KCenterSession.from_spec(spec, backend=backend, **option)
 
     def test_jobs_alone_implies_threads(self):
         spec = ProblemSpec(k=2, z=4, eps=0.5, dim=2, seed=0, jobs=3)
@@ -74,11 +74,11 @@ class TestExecutorParity:
         assert sess.backend.executor.name == "thread"
         assert sess.backend.executor.jobs == 3
 
-    def test_no_knobs_defers_to_legacy_parallel(self):
+    def test_no_knobs_runs_serial(self):
         spec = ProblemSpec(k=2, z=4, eps=0.5, dim=2, seed=0)
         sess = KCenterSession.from_spec(spec, backend="mpc-two-round",
                                         num_machines=2)
-        assert sess.backend.executor is None
+        assert sess.backend.executor.name == "serial"
 
     def test_resolved_executor_matches_backend_rule(self):
         """spec.resolved_executor() follows the same resolution rule the

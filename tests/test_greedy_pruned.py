@@ -1,6 +1,6 @@
 """The grid-pruned candidate scans: PointGrid correctness, the sparse
 pair-distance kernel, and bit-for-bit
-parity of the pruned geometric search against the dense path on
+parity of the pruned geometric search against the dense reference on
 adversarial layouts.
 
 Parity here is *identity*, not closeness: integer weights are exact in
@@ -20,7 +20,7 @@ from repro.core._greedy_reference import charikar_greedy_reference
 from repro.core.greedy import _grid_decision, _grid_for_guess
 from repro.core.metrics import get_metric
 from repro.geometry import PointGrid
-from repro.kernels import Workspace, pair_distances, pairwise_kernel
+from repro.kernels import pair_distances, pairwise_kernel
 
 METRICS = ("euclidean", "chebyshev", "manhattan")
 
@@ -143,18 +143,13 @@ def _assert_same_result(a, b):
 
 
 def _check_parity(P, k, z, metric=None, pairwise_limit=8):
-    """prune='auto' vs prune='off' vs the frozen reference, bit for bit.
+    """The gated search vs the frozen dense reference, bit for bit.
 
     A tiny ``pairwise_limit`` forces the geometric search where the grid
     pruning lives.
     """
     met = get_metric(metric)
     pruned = charikar_greedy(P, k, z, met, pairwise_limit=pairwise_limit)
-    dense = charikar_greedy(
-        P, k, z, met, pairwise_limit=pairwise_limit, prune="off"
-    )
-    assert dense.path == "dense"
-    _assert_same_result(pruned, dense)
     _assert_same_result(
         pruned,
         charikar_greedy_reference(P, k, z, met, pairwise_limit=pairwise_limit),
@@ -227,10 +222,7 @@ class TestAdversarialParity:
 
 
 class TestPruneKnob:
-    def test_invalid_prune_rejected(self, rng):
-        P = WeightedPointSet.from_points(rng.uniform(0, 1, size=(10, 2)))
-        with pytest.raises(ValueError, match="prune"):
-            charikar_greedy(P, 2, 1, prune="maybe")
+    """The exactness gate picks the path; ``decision_jobs`` shards it."""
 
     def test_path_provenance(self, rng):
         pts = rng.uniform(0, 10, size=(300, 2))
@@ -238,32 +230,11 @@ class TestPruneKnob:
         assert charikar_greedy(P, 3, 5).path == "pairwise"
         geo = charikar_greedy(P, 3, 5, pairwise_limit=8)
         assert geo.path in ("grid", "mixed")
-        assert charikar_greedy(P, 3, 5, pairwise_limit=8,
-                               prune="off").path == "dense"
 
     def test_high_dimension_stays_dense(self, rng):
         pts = rng.uniform(0, 10, size=(64, 6))
         P = WeightedPointSet(pts, np.ones(64, dtype=np.int64))
         assert charikar_greedy(P, 3, 2, pairwise_limit=8).path == "dense"
-
-    def test_force_grid_and_dense(self, rng):
-        pts = rng.uniform(0, 10, size=(200, 2))
-        P = WeightedPointSet(pts, np.ones(200, dtype=np.int64))
-        forced = charikar_greedy(P, 3, 5, pairwise_limit=8, prune="grid")
-        assert forced.path in ("grid", "mixed")
-        assert forced.stats["grid_builds"] + forced.stats["grid_derived"] > 0
-        _assert_same_result(
-            forced,
-            charikar_greedy(P, 3, 5, pairwise_limit=8, prune="dense"),
-        )
-
-    def test_force_grid_rejected_when_gate_fails(self, rng):
-        # dimension 6 is above the grid gate: prune="grid" must refuse
-        # loudly instead of silently answering dense
-        pts = rng.uniform(0, 10, size=(64, 6))
-        P = WeightedPointSet(pts, np.ones(64, dtype=np.int64))
-        with pytest.raises(ValueError, match="grid"):
-            charikar_greedy(P, 3, 2, pairwise_limit=8, prune="grid")
 
     def test_invalid_decision_jobs_rejected(self, rng):
         P = WeightedPointSet.from_points(rng.uniform(0, 1, size=(10, 2)))
@@ -273,7 +244,7 @@ class TestPruneKnob:
     @pytest.mark.parametrize("jobs", [2, 8])
     def test_sharded_decisions_bit_match_serial(self, rng, jobs, monkeypatch):
         # drop the sharding floor so a small instance actually shards,
-        # then demand bit-parity with jobs=1 and with the dense path
+        # then demand bit-parity with jobs=1 and with the dense reference
         monkeypatch.setattr(greedy_mod, "_GRID_SHARD_MIN_POINTS", 1)
         pts = rng.uniform(0, 10, size=(600, 2))
         P = WeightedPointSet(pts, rng.integers(1, 5, 600))
@@ -285,7 +256,7 @@ class TestPruneKnob:
         _assert_same_result(sharded, serial)
         _assert_same_result(
             sharded,
-            charikar_greedy(P, 4, 10, pairwise_limit=8, prune="off"),
+            charikar_greedy_reference(P, 4, 10, pairwise_limit=8),
         )
 
 
@@ -299,14 +270,14 @@ class TestGridDecisionDirect:
         for g in (0.0, 0.1, 0.7, 3.0):
             grid = _grid_for_guess(P.points, g + 1e-9 * max(1.0, g))
             assert grid is not None
-            ok_a, c_a, u_a = _grid_decision(P, met, 4, 6, g, grid, Workspace())
+            ok_a, c_a, u_a = _grid_decision(P, met, 4, 6, g, grid)
             ok_b, c_b, u_b = geometric_decision_reference(P, met, 4, 6, g)
             assert ok_a == ok_b and list(c_a) == list(c_b)
             np.testing.assert_array_equal(u_a, u_b)
 
 
 # ---------------------------------------------------------------------------
-# Property: pruned-vs-dense bit parity on random low-dim instances
+# Property: pruned-vs-reference bit parity on random low-dim instances
 # ---------------------------------------------------------------------------
 
 
@@ -328,5 +299,5 @@ def test_pruned_dense_bit_parity_property(seed, n, d, k, z, scale, metric):
     P = WeightedPointSet(pts, rng.integers(1, 7, n))
     met = get_metric(metric)
     pruned = charikar_greedy(P, k, z, met, pairwise_limit=8)
-    dense = charikar_greedy(P, k, z, met, pairwise_limit=8, prune="off")
+    dense = charikar_greedy_reference(P, k, z, met, pairwise_limit=8)
     _assert_same_result(pruned, dense)

@@ -1,4 +1,4 @@
-"""Tests for the thread-parallel MPC execution mode."""
+"""Tests for the thread-pool MPC execution mode."""
 
 import numpy as np
 
@@ -16,8 +16,8 @@ class TestParallelAlgorithms:
         wl = clustered_with_outliers(400, 3, 12, d=2, rng=rng)
         P = wl.point_set()
         parts = partition_adversarial_outliers(P, wl.outlier_mask, 5, rng)
-        seq = two_round_coreset(parts, 3, 12, 0.5, parallel=False)
-        par = two_round_coreset(parts, 3, 12, 0.5, parallel=True)
+        seq = two_round_coreset(parts, 3, 12, 0.5, executor=None)
+        par = two_round_coreset(parts, 3, 12, 0.5, executor="thread")
         assert np.array_equal(seq.coreset.points, par.coreset.points)
         assert np.array_equal(seq.coreset.weights, par.coreset.weights)
         assert seq.extras["rhat"] == par.extras["rhat"]
@@ -27,8 +27,8 @@ class TestParallelAlgorithms:
         wl = clustered_with_outliers(400, 3, 12, d=2, rng=rng)
         P = wl.point_set()
         parts = partition_random(P, 5, rng)
-        seq = one_round_coreset(parts, 3, 12, 0.5, parallel=False)
-        par = one_round_coreset(parts, 3, 12, 0.5, parallel=True)
+        seq = one_round_coreset(parts, 3, 12, 0.5, executor=None)
+        par = one_round_coreset(parts, 3, 12, 0.5, executor="thread")
         assert np.array_equal(seq.coreset.points, par.coreset.points)
         assert np.array_equal(seq.coreset.weights, par.coreset.weights)
         assert seq.stats == par.stats

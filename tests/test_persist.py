@@ -268,40 +268,47 @@ class TestSnapshotFile:
             b.backend.restore(a.backend.snapshot())
 
 
-class TestRetiredSpecKeys:
-    """Snapshots from before the float64-only kernel carry ``dtype``,
-    ``kernel_chunk`` and ``kernel_backend`` in their spec dict."""
+def _resave_with(tmp_path, backend, retired, options=None):
+    """A fresh snapshot rewritten to carry retired spec keys / options."""
+    src = str(tmp_path / "new.ckpt")
+    sess = _make(backend)
+    sess.extend(_stream(backend, 5, n=80))
+    sess.save(src)
+    manifest, state = read_snapshot(src)
+    manifest["spec"] = {**manifest["spec"], **retired}
+    manifest["options"] = {**manifest["options"], **(options or {})}
+    old = str(tmp_path / "old.ckpt")
+    write_snapshot(old, manifest, state)
+    return old
 
-    def _resave_with(self, tmp_path, backend, retired):
-        src = str(tmp_path / "new.ckpt")
-        sess = _make(backend)
-        sess.extend(_stream(backend, 5, n=80))
-        sess.save(src)
-        manifest, state = read_snapshot(src)
-        manifest["spec"] = {**manifest["spec"], **retired}
-        old = str(tmp_path / "old.ckpt")
-        write_snapshot(old, manifest, state)
-        return old
+
+def _assert_continues_bit_identically(backend, old):
+    resumed = KCenterSession.load(old)
+    full = _make(backend)
+    full.extend(_stream(backend, 5, n=80))
+    resumed.extend(_stream(backend, 6, n=40))
+    full.extend(_stream(backend, 6, n=40))
+    a, b = full.coreset(), resumed.coreset()
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.weights, b.weights)
+    assert full.solve().radius == resumed.solve().radius
+    assert _stats_no_wall(full) == _stats_no_wall(resumed)
+
+
+class TestRetiredSpecKeys:
+    """Older snapshots carry ``dtype``, ``kernel_chunk``,
+    ``kernel_backend`` and ``prune`` in their spec dict."""
 
     @pytest.mark.parametrize("backend", ["insertion-only", "mpc-two-round"])
     def test_default_kernel_keys_restore_bit_identically(self, tmp_path,
                                                          backend):
-        old = self._resave_with(tmp_path, backend, {
+        old = _resave_with(tmp_path, backend, {
             "dtype": None, "kernel_chunk": None, "kernel_backend": None,
         })
-        resumed = KCenterSession.load(old)
-        full = _make(backend)
-        full.extend(_stream(backend, 5, n=80))
-        resumed.extend(_stream(backend, 6, n=40))
-        full.extend(_stream(backend, 6, n=40))
-        a, b = full.coreset(), resumed.coreset()
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.weights, b.weights)
-        assert full.solve().radius == resumed.solve().radius
-        assert _stats_no_wall(full) == _stats_no_wall(resumed)
+        _assert_continues_bit_identically(backend, old)
 
     def test_explicit_float64_keys_restore(self, tmp_path):
-        old = self._resave_with(tmp_path, "insertion-only", {
+        old = _resave_with(tmp_path, "insertion-only", {
             "dtype": "float64", "kernel_chunk": 4096,
             "kernel_backend": "numpy",
         })
@@ -309,10 +316,42 @@ class TestRetiredSpecKeys:
         assert resumed.spec.as_dict() == _spec().as_dict()
 
     def test_float32_snapshot_raises_naming_dtype(self, tmp_path):
-        old = self._resave_with(tmp_path, "insertion-only",
+        old = _resave_with(tmp_path, "insertion-only",
                                 {"dtype": "float32"})
         with pytest.raises(SnapshotError, match="dtype"):
             KCenterSession.load(old)
+
+    @pytest.mark.parametrize("prune", [None, "auto", "off", "grid", "dense"])
+    def test_prune_key_restores_bit_identically(self, tmp_path, prune):
+        old = _resave_with(tmp_path, "mpc-two-round", {"prune": prune})
+        _assert_continues_bit_identically("mpc-two-round", old)
+
+
+class TestRetiredSessionOptions:
+    """Older MPC snapshots carry execution settings in their session
+    options; execution is set by the spec alone now."""
+
+    RETIRED = {"executor": "thread", "jobs": 2, "parallel": True,
+               "prune": "off", "decision_jobs": 2}
+
+    @pytest.mark.parametrize("backend", ["mpc-two-round", "mpc-one-round",
+                                         "mpc-multi-round"])
+    def test_retired_options_restore_bit_identically(self, tmp_path,
+                                                     backend):
+        options = dict(self.RETIRED)
+        if backend == "mpc-multi-round":
+            del options["parallel"]  # never an option of this backend
+        old = _resave_with(tmp_path, backend, {}, options)
+        _assert_continues_bit_identically(backend, old)
+
+    @pytest.mark.parametrize("option", sorted(RETIRED))
+    def test_explicit_retired_option_still_rejected(self, tmp_path, option):
+        path = str(tmp_path / "s.ckpt")
+        sess = _make("mpc-two-round")
+        sess.extend(_stream("mpc-two-round", 0, n=60))
+        sess.save(path)
+        with pytest.raises(TypeError):
+            KCenterSession.load(path, **{option: self.RETIRED[option]})
 
 
 class TestUnsupportedBackends:
