@@ -1,11 +1,12 @@
 """API facade: batched `extend` versus per-point `insert` loops.
 
 The `KCenterSession.extend(array)` hot path hands the whole batch to the
-backend, which evaluates one metric matrix per chunk and applies runs of
-absorptions as single bincount updates — versus one `to_set` call plus
-Python overhead per point in the insert loop.  This bench feeds the same
-10k-point stream both ways through the facade and asserts the batched
-path wins while producing the bit-identical structure.
+backend, which answers each chunk's nearest-representative queries from
+its grid index in a few vectorized calls and applies the absorptions as
+one bincount update — versus one distance row plus Python overhead per
+point in the insert loop.  This bench feeds the same 10k-point stream
+both ways through the facade and asserts the batched path wins while
+both produce the structure of the scalar reference loop, bit for bit.
 
 Also sweeps every registered backend through an identical session to
 show the one-API-many-models surface the registry provides.
@@ -16,6 +17,7 @@ import time
 import numpy as np
 
 from repro.api import KCenterSession, ProblemSpec, available_backends
+from repro.core._greedy_reference import insertion_only_reference
 from repro.experiments import Row, format_table
 
 N = 10_000
@@ -49,11 +51,15 @@ def test_batched_extend_beats_insert_loop(once):
     t_loop, s_loop = _ingest(batched=False)
     t_batch, s_batch = once(_ingest, batched=True)
 
-    cs_l, cs_b = s_loop.coreset(), s_batch.coreset()
-    # bit-identical structure: same representatives, weights, radius
-    assert np.array_equal(cs_l.points, cs_b.points)
-    assert np.array_equal(cs_l.weights, cs_b.weights)
-    assert s_loop.backend.algo.r == s_batch.backend.algo.r
+    # bit-identical structure: same representatives, weights, radius as
+    # the scalar reference loop
+    ref = insertion_only_reference(_stream(), 4, 20, 0.5, 2, size_cap=400)
+    ref_cs = ref.coreset()
+    for sess in (s_loop, s_batch):
+        cs = sess.coreset()
+        assert np.array_equal(cs.points, ref_cs.points)
+        assert np.array_equal(cs.weights, ref_cs.weights)
+        assert sess.backend.algo.r == ref.r
 
     # best-of-3 paired measurements: a single noisy-neighbor stall on a
     # shared runner must not fail the build (the claim is about the

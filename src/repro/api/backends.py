@@ -144,11 +144,11 @@ class _BackendBase:
 
     def extend(self, points) -> None:
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         for p in np.atleast_2d(np.asarray(points, dtype=float)):
             self.insert(p)
 
-    def _extend_chunks(self, chunks) -> None:
+    def _extend_from_source(self, chunks) -> None:
         """Ingest a :class:`~repro.store.PointSource` / chunk iterator by
         re-entering :meth:`extend` per chunk.  Bit-identical to one
         monolithic ``extend``: every backend's batch path is
@@ -236,7 +236,7 @@ class _BufferedBackendBase(_BackendBase):
 
     def extend(self, points) -> None:
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(pts) == 0:
             return
@@ -365,9 +365,11 @@ class _StreamingBackendBase(_AlgoSnapshotMixin, _BackendBase):
         self.algo.insert(point)
 
     def extend(self, points) -> None:
-        # vectorized batch path: one pairwise matrix per recompression epoch
+        # batch path: the structure answers each chunk's nearest-
+        # representative queries from its grid index (one arrival path
+        # for insert and extend)
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def coreset(self) -> WeightedPointSet:
@@ -488,7 +490,7 @@ class DynamicBackend(_AlgoSnapshotMixin, _BackendBase):
     def extend(self, points) -> None:
         """Batched sketch updates for inserted points."""
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def delete_many(self, points) -> None:
@@ -559,7 +561,7 @@ class DeterministicDynamicBackend(_AlgoSnapshotMixin, _BackendBase):
     def extend(self, points) -> None:
         """Batched sketch updates for inserted points."""
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def delete_many(self, points) -> None:
@@ -640,7 +642,7 @@ class SlidingWindowBackend(_AlgoSnapshotMixin, _BackendBase):
     def extend(self, points) -> None:
         """Batched ingest across the whole guess ladder at once."""
         if is_chunked(points):
-            return self._extend_chunks(points)
+            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def coreset(self) -> WeightedPointSet:

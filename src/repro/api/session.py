@@ -9,9 +9,10 @@ backend and exposes the uniform stream/query surface::
     sol = sess.solve()            # enriched Solution with provenance
 
 ``extend(array)`` is the hot path: the array is handed to the backend in
-one call, so vectorized backends evaluate one metric matrix (or one
-cell-id pass) per batch instead of a per-point Python loop — the
-difference ``benchmarks/bench_api_batched.py`` measures.
+one call, so vectorized backends answer a whole chunk with a few array
+operations (grid lookups, one cell-id pass) instead of a per-point
+Python loop — the difference ``benchmarks/bench_api_batched.py``
+measures.
 
 ``solve()`` runs an offline solver on the maintained coreset (the
 paper's end-to-end recipe) and returns a :class:`Solution` carrying full

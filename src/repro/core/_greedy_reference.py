@@ -2,12 +2,14 @@
 
 These are verbatim copies of the ``Greedy(P,k,z)`` decision procedures and
 the greedy absorption loop as they existed before the kernels-layer
-refactor.  They exist for two reasons:
+refactor, plus the scalar per-arrival loop of Algorithm 3 as it existed
+before the streaming grid index.  They exist for two reasons:
 
-* the parity tests (``tests/test_greedy_parity.py``) prove the rewritten
-  incremental implementations in :mod:`repro.core.greedy` and
-  :mod:`repro.core.mbc` are bit-for-bit identical to these on float64
-  integer-weighted instances, and
+* the parity tests (``tests/test_greedy_parity.py``,
+  ``tests/test_api_parity.py``) prove the rewritten implementations in
+  :mod:`repro.core.greedy`, :mod:`repro.core.mbc` and
+  :mod:`repro.streaming.insertion_only` are bit-for-bit identical to
+  these on float64 integer-weighted instances, and
 * the benchmark runner (``benchmarks/run_all.py`` /
   ``benchmarks/bench_core_kernels.py``) measures speedups against them.
 
@@ -22,18 +24,26 @@ test.
 
 from __future__ import annotations
 
+from math import ceil
+
 import numpy as np
 
 from .greedy import GreedyResult, gonzalez
 from .metrics import Metric, get_metric
 from .points import WeightedPointSet
-from .radius import coverage_radius, nearest_center_distances
+from .radius import (
+    coverage_radius,
+    min_pairwise_distance,
+    nearest_center_distances,
+)
 
 __all__ = [
     "greedy_disks_reference",
     "geometric_decision_reference",
     "charikar_greedy_reference",
     "greedy_absorb_reference",
+    "InsertionOnlyReference",
+    "insertion_only_reference",
 ]
 
 
@@ -207,3 +217,76 @@ def greedy_absorb_reference(
         pts[rep_rows], np.asarray(rep_weights, dtype=np.int64)
     )
     return coreset, assignment
+
+
+class InsertionOnlyReference:
+    """Pre-index Algorithm 3: every arrival scans all of ``P*`` with one
+    ``to_set`` call, and every doubling recompresses with
+    :func:`greedy_absorb_reference`.
+
+    Holds the same observable state as
+    :class:`~repro.streaming.insertion_only.InsertionOnlyCoreset`:
+    ``points``/``weights`` (``P*``), ``r``, ``doublings`` and
+    ``points_seen``.
+    """
+
+    def __init__(self, k: int, z: int, eps: float, d: int,
+                 metric: "Metric | str | None" = None,
+                 size_cap: "int | None" = None):
+        self.k, self.z, self.eps = int(k), int(z), float(eps)
+        self.metric = get_metric(metric)
+        self.threshold = (int(k * ceil(16.0 / eps) ** d + z)
+                          if size_cap is None else int(size_cap))
+        self.r = 0.0
+        self.doublings = 0
+        self.points_seen = 0
+        self.points: "np.ndarray | None" = None
+        self.weights = np.zeros(0, dtype=np.int64)
+
+    def insert(self, point) -> None:
+        """HandleArrival(p_t)."""
+        p = np.asarray(point, dtype=float).reshape(-1)
+        if self.points is None:
+            self.points = np.zeros((0, len(p)))
+        self.points_seen += 1
+        absorb = self.eps / 2.0 * self.r
+        if len(self.points):
+            dists = self.metric.to_set(p, self.points)
+            j = int(np.argmin(dists))
+            if dists[j] <= absorb + 1e-12 * max(1.0, absorb):
+                self.weights[j] += 1
+                return
+        self.points = np.vstack([self.points, p[None, :]])
+        self.weights = np.append(self.weights, np.int64(1))
+        if self.r == 0.0 and len(self.points) >= self.k + self.z + 1:
+            delta_min = min_pairwise_distance(self.points, self.metric)
+            if delta_min > 0:
+                self.r = delta_min / 2.0
+        while self.r > 0.0 and len(self.points) >= self.threshold:
+            self.r *= 2.0
+            self.doublings += 1
+            coreset, _ = greedy_absorb_reference(
+                WeightedPointSet(self.points, self.weights),
+                self.eps / 2.0 * self.r, self.metric)
+            self.points = coreset.points.copy()
+            self.weights = coreset.weights.copy()
+
+    def coreset(self) -> WeightedPointSet:
+        """The current ``P*``."""
+        if self.points is None:
+            return WeightedPointSet.empty(1)
+        return WeightedPointSet(self.points.copy(), self.weights.copy())
+
+
+def insertion_only_reference(
+    points, k: int, z: int, eps: float, d: int,
+    metric: "Metric | str | None" = None,
+    size_cap: "int | None" = None,
+) -> InsertionOnlyReference:
+    """Feed ``points`` one arrival at a time through
+    :class:`InsertionOnlyReference` and return the final structure."""
+    ref = InsertionOnlyReference(k, z, eps, d, metric=metric,
+                                 size_cap=size_cap)
+    for p in np.atleast_2d(np.asarray(points, dtype=float)):
+        ref.insert(p)
+    return ref

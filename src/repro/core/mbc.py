@@ -17,14 +17,20 @@ bounds the output size by ``k * (12/eps)^d + z``.
 absorption at an explicitly given distance ``delta`` (used by the streaming
 algorithm when it doubles its radius estimate).
 
-Performance (the kernels refactor): the absorption loop no longer scans
-all ``n`` points per representative.  For the built-in norms it buckets
-the input into a :class:`repro.geometry.PointGrid` with cell side just
-above ``delta`` (the same sorted-int64-code index the grid-pruned
-greedy decision procedure uses) and evaluates distances only against the
-``3^d`` neighboring cells of each representative — any point within
-``delta`` under L2/L1/Linf is within ``delta`` per coordinate, so no
-candidate is missed and results are bit-identical to the scalar loop
+Performance: the absorption loop does not scan all ``n`` points per
+representative.  For the built-in norms it buckets the input into a
+:class:`repro.geometry.PointGrid` with cell side just above ``delta``
+(the same sorted-int64-code index the grid-pruned greedy decision
+procedure uses); any point within ``delta`` under L2/L1/Linf is within
+``delta`` per coordinate, so the ``3^d`` cells around a point hold all
+its candidates.  Points are taken in blocks along the absorption order.
+One vectorized pass per block computes every block point's neighbor
+list within ``delta`` (one ``neighbors_of_cells``, ``points_in_cells``
+and :func:`~repro.kernels.pair_distances` call), and the order loop
+then walks those lists.  Block sizes adapt to the pair work the
+previous block put to use, which bounds memory at any ``n`` and keeps
+dense inputs from paying for the lists of points an earlier
+representative absorbs.  Results are bit-identical to the scalar loop
 (:func:`repro.core._greedy_reference.greedy_absorb_reference`; proven by
 the parity tests).  When the embedded radius search ran its grid-pruned
 path, the absorption reuses the search's persistent
@@ -44,6 +50,7 @@ from math import ceil
 import numpy as np
 
 from ..geometry.grid import PointGrid
+from ..kernels import pair_distances
 from .greedy import charikar_greedy
 from .metrics import Metric, _KernelMetric, get_metric
 from .points import WeightedPointSet
@@ -99,6 +106,17 @@ class MiniBallCovering:
 _GRID_MAX_DIM = 4
 #: below this the grid's setup cost exceeds the whole scalar loop
 _GRID_MIN_POINTS = 192
+#: points scanned per block of the grid absorption (bounds and start of
+#: the adaptive span)
+_ABSORB_BLOCK = 65_536
+_ABSORB_SPAN_MIN = 1024
+#: candidate pairs per block (bounds and start of the adaptive budget);
+#: the cap bounds a block's memory (~64 bytes a pair)
+_ABSORB_PAIRS_MIN = 1 << 14
+_ABSORB_PAIRS_MAX = 1 << 20
+#: neighbor lists longer than this are absorbed with array operations,
+#: shorter ones point by point
+_ABSORB_SLICE = 64
 
 
 def _greedy_absorb(
@@ -130,12 +148,9 @@ def _greedy_absorb(
     if n == 0:
         return wps, np.zeros(0, dtype=np.int64)
     pts = wps.points
-    if order is None:
-        order = np.arange(n)
-    remaining = np.ones(n, dtype=bool)
+    order = np.arange(n) if order is None else np.asarray(order)
     assignment = np.full(n, -1, dtype=np.int64)
     rep_rows: list[int] = []
-    rep_weights: list[int] = []
     tol = 1e-9 * max(1.0, delta)
     cutoff = delta + tol
 
@@ -159,7 +174,7 @@ def _greedy_absorb(
             and np.isfinite(cutoff)
         ):
             # the radius search already indexed these exact points: snap
-            # delta to its ladder (query_point re-derives the ring the
+            # delta to its ladder (grid.ring below derives the ring the
             # cutoff needs at that level's side, so the superset stays
             # sound at any snapped side)
             grid = hierarchy.grid_for(cutoff)
@@ -175,17 +190,71 @@ def _greedy_absorb(
             grid = PointGrid.build(pts, side, max_ring=1)
 
     if grid is not None:
-        for idx in order:
-            if not remaining[idx]:
+        # `free` and `remaining` share memory: the order loop reads and
+        # clears single points through the bytearray at Python speed, the
+        # block bookkeeping works on the array view
+        free = bytearray(b"\x01") * n
+        remaining = np.frombuffer(free, dtype=bool)
+        ring = grid.ring(cutoff)
+        start, span, budget = 0, _ABSORB_SPAN_MIN, _ABSORB_PAIRS_MIN
+        while start < n:
+            # the next block of still-unabsorbed points in `order`, cut
+            # where its candidate pairs would exceed the pair budget
+            window = order[start: start + span]
+            live = np.flatnonzero(remaining[window])
+            if live.size == 0:
+                start += len(window)
+                span = min(2 * span, _ABSORB_BLOCK)
                 continue
-            cand = grid.query_point(int(idx), cutoff)
-            d = metric.to_set(pts[idx], pts[cand])
-            sel = cand[remaining[cand] & (d <= cutoff)]
-            assignment[sel] = len(rep_rows)
-            rep_rows.append(int(idx))
-            rep_weights.append(int(wps.weights[sel].sum()))
-            remaining[sel] = False
+            block = window[live]
+            src, nbr = grid.neighbors_of_cells(grid.point_cell[block], ring)
+            counts = grid.cell_counts[nbr]
+            per_point = np.bincount(src, weights=counts, minlength=len(block))
+            take = max(1, int(np.searchsorted(np.cumsum(per_point), budget,
+                                              "right")))
+            consumed = len(window)
+            if take < len(block):
+                cut = src < take
+                src, nbr, counts = src[cut], nbr[cut], counts[cut]
+                block = block[:take]
+                consumed = int(live[take - 1]) + 1
+            start += consumed
+            # every block point's neighbors within the cutoff, as CSR
+            # slices over the block (src ascends, so owners do too); each
+            # point is its own neighbor
+            cand = grid.points_in_cells(nbr)
+            owner = np.repeat(src, counts)
+            d = pair_distances(metric.name, pts, block[owner], cand)
+            within = d <= cutoff
+            cand = cand[within]
+            bounds = np.searchsorted(owner[within],
+                                     np.arange(len(block) + 1)).tolist()
+            reps = []
+            for t, idx in enumerate(block.tolist()):
+                if not free[idx]:
+                    continue
+                rep = len(rep_rows)
+                rep_rows.append(idx)
+                reps.append(t)
+                nb = cand[bounds[t]: bounds[t + 1]]
+                if len(nb) > _ABSORB_SLICE:
+                    sel = nb[remaining[nb]]
+                    assignment[sel] = rep
+                    remaining[sel] = False
+                    continue
+                for v in nb.tolist():
+                    if free[v]:
+                        free[v] = 0
+                        assignment[v] = rep
+            # size the next block by the pairs this one put to use: a
+            # block's non-representatives are wasted pair work, and they
+            # dominate on dense inputs
+            useful = float(per_point[reps].sum())
+            budget = int(min(max(2.0 * useful, _ABSORB_PAIRS_MIN),
+                             _ABSORB_PAIRS_MAX))
+            span = min(max(2 * consumed, _ABSORB_SPAN_MIN), _ABSORB_BLOCK)
     else:
+        remaining = np.ones(n, dtype=bool)
         rem = np.arange(n)
         for idx in order:
             if not remaining[idx]:
@@ -195,13 +264,11 @@ def _greedy_absorb(
             sel = rem[absorbed]
             assignment[sel] = len(rep_rows)
             rep_rows.append(int(idx))
-            rep_weights.append(int(wps.weights[sel].sum()))
             remaining[sel] = False
             rem = rem[~absorbed]
-    coreset = WeightedPointSet(
-        pts[rep_rows], np.asarray(rep_weights, dtype=np.int64)
-    )
-    return coreset, assignment
+    weights = np.zeros(len(rep_rows), dtype=np.int64)
+    np.add.at(weights, assignment, wps.weights)
+    return WeightedPointSet(pts[rep_rows], weights), assignment
 
 
 def mbc_construction(
@@ -266,7 +333,12 @@ def update_coreset(
 
     Greedy absorption at absolute distance ``delta``; used by the streaming
     algorithm (Algorithm 3 line 10) after doubling its radius estimate.
+    ``delta`` must be finite and non-negative (``0`` merges coincident
+    points only); anything else raises ``ValueError``.
     """
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(
+            f"delta must be a finite non-negative distance, got {delta!r}")
     metric = get_metric(metric)
     coreset, assignment = _greedy_absorb(wps, delta, metric, order)
     return MiniBallCovering(

@@ -295,7 +295,7 @@ class TestSession:
     def test_top_level_exports(self):
         import repro
 
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "3.1.0"
         assert repro.ProblemSpec is ProblemSpec
         assert repro.KCenterSession is KCenterSession
         assert "api" in repro.__all__

@@ -3,15 +3,17 @@ replayed stream must produce exactly the same coreset (and radius) as
 driving the underlying class/function directly.
 
 These are the facade's correctness contract — the session adds
-provenance and batching, never different math.  For the insertion-only
-structures the comparison is also batched-vs-scalar (the vectorized
-`extend` is required to be bit-identical to per-point `insert`)."""
+provenance and batching, never different math.  The insertion-only
+structures run one arrival path for `insert` and `extend`, so they are
+compared against the independent scalar reference
+(`repro.core._greedy_reference.insertion_only_reference`) instead."""
 
 import numpy as np
 import pytest
 
 from repro.api import KCenterSession, ProblemSpec
 from repro.core import charikar_greedy, mbc_construction
+from repro.core._greedy_reference import insertion_only_reference
 from repro.mpc import (
     ceccarello_one_round_deterministic,
     ceccarello_one_round_randomized,
@@ -22,12 +24,11 @@ from repro.mpc import (
     two_round_coreset,
 )
 from repro.streaming import (
-    CeccarelloStreamingCoreset,
     DeterministicDynamicCoreset,
     DynamicCoreset,
-    InsertionOnlyCoreset,
     SlidingWindowCoreset,
 )
+from repro.streaming.baseline_ceccarello import cpp_size_threshold
 
 K, Z, EPS, D, SEED = 3, 6, 0.5, 2, 42
 N_MACHINES = 4
@@ -71,31 +72,26 @@ class TestStreamingParity:
     def test_insertion_only(self, spec, stream):
         sess = KCenterSession.from_spec(spec, backend="insertion-only")
         sess.extend(stream)
-        direct = InsertionOnlyCoreset(K, Z, EPS, D)
-        for p in stream:
-            direct.insert(p)
-        assert_same_coreset(sess.coreset(), direct.coreset())
-        assert sess.backend.algo.r == direct.r
-        assert sess.backend.algo.doublings == direct.doublings
-        assert_same_radius(sess.coreset(), direct.coreset())
+        ref = insertion_only_reference(stream, K, Z, EPS, D)
+        assert_same_coreset(sess.coreset(), ref.coreset())
+        assert sess.backend.algo.r == ref.r
+        assert sess.backend.algo.doublings == ref.doublings
+        assert_same_radius(sess.coreset(), ref.coreset())
 
     def test_insertion_only_capped(self, spec, stream):
         sess = KCenterSession.from_spec(spec, backend="insertion-only",
                                         size_cap=60)
         sess.extend(stream)
-        direct = InsertionOnlyCoreset(K, Z, EPS, D, size_cap=60)
-        for p in stream:
-            direct.insert(p)
-        assert_same_coreset(sess.coreset(), direct.coreset())
-        assert sess.backend.algo.doublings == direct.doublings
+        ref = insertion_only_reference(stream, K, Z, EPS, D, size_cap=60)
+        assert_same_coreset(sess.coreset(), ref.coreset())
+        assert sess.backend.algo.doublings == ref.doublings
 
     def test_ceccarello_stream(self, spec, stream):
         sess = KCenterSession.from_spec(spec, backend="ceccarello-stream")
         sess.extend(stream)
-        direct = CeccarelloStreamingCoreset(K, Z, EPS, D)
-        for p in stream:
-            direct.insert(p)
-        assert_same_coreset(sess.coreset(), direct.coreset())
+        ref = insertion_only_reference(
+            stream, K, Z, EPS, D, size_cap=cpp_size_threshold(K, Z, EPS, D))
+        assert_same_coreset(sess.coreset(), ref.coreset())
 
     def test_mixed_insert_and_extend(self, spec, stream):
         """Interleaving scalar and batched ingest replays the same stream."""
@@ -104,10 +100,8 @@ class TestStreamingParity:
         sess.extend(stream[1:200])
         sess.insert(stream[200])
         sess.extend(stream[201:])
-        direct = InsertionOnlyCoreset(K, Z, EPS, D)
-        for p in stream:
-            direct.insert(p)
-        assert_same_coreset(sess.coreset(), direct.coreset())
+        ref = insertion_only_reference(stream, K, Z, EPS, D)
+        assert_same_coreset(sess.coreset(), ref.coreset())
 
 
 class TestDynamicParity:

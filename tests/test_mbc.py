@@ -92,6 +92,11 @@ class TestUpdateCoreset:
     def test_delta_zero_merges_coincident_only(self):
         P = WeightedPointSet.from_points(np.array([[0.0], [0.0], [1.0]]))
         assert update_coreset(P, 0.0).size == 2
+        # zero is the smallest valid delta; below it nothing absorbs even
+        # itself, so negative and non-finite deltas are rejected up front
+        for bad in (-1e-9, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="delta"):
+                update_coreset(P, bad)
 
     def test_representatives_separated(self, small_set):
         """Any two representatives are more than delta apart."""

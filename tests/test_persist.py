@@ -268,8 +268,9 @@ class TestSnapshotFile:
             b.backend.restore(a.backend.snapshot())
 
 
-def _resave_with(tmp_path, backend, retired, options=None):
-    """A fresh snapshot rewritten to carry retired spec keys / options."""
+def _resave_with(tmp_path, backend, retired, options=None, state_keys=None):
+    """A fresh snapshot rewritten to carry retired spec keys / options /
+    backend state keys."""
     src = str(tmp_path / "new.ckpt")
     sess = _make(backend)
     sess.extend(_stream(backend, 5, n=80))
@@ -277,6 +278,7 @@ def _resave_with(tmp_path, backend, retired, options=None):
     manifest, state = read_snapshot(src)
     manifest["spec"] = {**manifest["spec"], **retired}
     manifest["options"] = {**manifest["options"], **(options or {})}
+    state = {**state, **(state_keys or {})}
     old = str(tmp_path / "old.ckpt")
     write_snapshot(old, manifest, state)
     return old
@@ -325,6 +327,27 @@ class TestRetiredSpecKeys:
     def test_prune_key_restores_bit_identically(self, tmp_path, prune):
         old = _resave_with(tmp_path, "mpc-two-round", {"prune": prune})
         _assert_continues_bit_identically("mpc-two-round", old)
+
+
+class TestRetiredStateKeys:
+    """3.0.0 insertion-only snapshots carry the ``batch_dense`` flag of the
+    removed adaptive scalar path; the grid index is never persisted."""
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_batch_dense_restores_bit_identically(self, tmp_path, flag):
+        old = _resave_with(tmp_path, "insertion-only", {},
+                           state_keys={"batch_dense": flag})
+        assert read_snapshot(old)[1]["batch_dense"] == flag
+        _assert_continues_bit_identically("insertion-only", old)
+
+    def test_new_snapshots_omit_derived_state(self, tmp_path):
+        path = str(tmp_path / "s.ckpt")
+        sess = _make("insertion-only")
+        sess.extend(_stream("insertion-only", 0, n=80))
+        sess.save(path)
+        state = read_snapshot(path)[1]
+        assert set(state) == {"n", "r", "doublings", "threshold", "dim",
+                              "points", "weights"}
 
 
 class TestRetiredSessionOptions:

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+import repro.core.greedy
+import repro.core.mbc
+import repro.core.metrics
+import repro.streaming.insertion_only
 from repro.core import (
     WeightedPointSet,
     brute_force_opt,
     verify_sandwich,
 )
-from repro.streaming import InsertionOnlyCoreset, paper_size_threshold
+from repro.core._greedy_reference import insertion_only_reference
+from repro.streaming import (
+    CeccarelloStreamingCoreset,
+    InsertionOnlyCoreset,
+    paper_size_threshold,
+)
 from repro.workloads import drifting_stream
 
 
@@ -141,3 +150,128 @@ class TestPrefixProperty:
             if t in (50, 150, 300):
                 P = WeightedPointSet.from_points(stream[:t])
                 assert verify_sandwich(P, st.coreset(), 2, 4, 1.0).ok, f"t={t}"
+
+
+def _same_state(st, ref) -> bool:
+    a, b = st.coreset(), ref.coreset()
+    return (np.array_equal(a.points, b.points)
+            and np.array_equal(a.weights, b.weights)
+            and st.r == ref.r and st.doublings == ref.doublings
+            and st.points_seen == ref.points_seen)
+
+
+class TestReferenceParity:
+    def test_fuzzed_streams_match_scalar_reference(self, monkeypatch):
+        """Every chunking of seeded fuzzed streams (d 1-4, three norms,
+        duplicate-heavy, clustered and +-1e6 inputs, caps forcing many
+        doublings) replays the scalar reference loop bit for bit.  Half
+        the configurations route single arrivals through the grid lookup
+        instead of the small-P* scan."""
+        rng = np.random.default_rng(20240611)
+        doubled = 0
+        for case in range(40):
+            d = case % 4 + 1
+            metric = ("euclidean", "chebyshev", "manhattan")[case % 3]
+            n = int(rng.integers(200, 500))
+            kind = case % 3
+            if kind == 0:
+                pts = rng.integers(0, 4, size=(n, d)).astype(float)
+            elif kind == 1:
+                pts = rng.uniform(-1e6, 1e6, size=(n, d))
+            else:
+                centres = rng.normal(size=(4, d)) * 40.0
+                pts = (centres[rng.integers(0, 4, n)]
+                       + rng.normal(size=(n, d)) * 0.5)
+            k, z = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+            eps = float(rng.choice([0.25, 0.5, 1.0]))
+            cap = int(rng.integers(k + z + 2, k + z + 24))
+            ref = insertion_only_reference(pts, k, z, eps, d, metric=metric,
+                                           size_cap=cap)
+            doubled += ref.doublings > 0
+            monkeypatch.setattr(repro.streaming.insertion_only, "_SCAN_REPS",
+                                0 if case % 2 else 2048)
+            for chunk in (1, 7, 256, n):
+                st = InsertionOnlyCoreset(k, z, eps, d, metric=metric,
+                                          size_cap=cap)
+                for i in range(0, n, chunk):
+                    if chunk == 1:
+                        st.insert(pts[i])
+                    else:
+                        st.extend(pts[i: i + chunk])
+                assert _same_state(st, ref), (case, chunk)
+        assert doubled >= 30
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda: InsertionOnlyCoreset(1, 0, 0.5, 2, size_cap=4),
+        lambda: CeccarelloStreamingCoreset(1, 0, 0.5, 2),
+    ], ids=["insertion-only", "ceccarello"])
+    def test_non_finite_rows_rejected_before_any_change(self, rng, bad,
+                                                        make):
+        st = make()
+        st.extend(rng.normal(size=(40, 2)))
+        before = (st.points_seen, st.r, st.doublings, st.coreset())
+        batch = rng.normal(size=(6, 2))
+        batch[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            st.extend(batch)
+        with pytest.raises(ValueError, match="finite"):
+            st.insert(batch[3])
+        cs = st.coreset()
+        assert (st.points_seen, st.r, st.doublings) == before[:3]
+        assert np.array_equal(cs.points, before[3].points)
+        assert np.array_equal(cs.weights, before[3].weights)
+
+    def test_non_2d_input_rejected(self):
+        st = InsertionOnlyCoreset(1, 0, 0.5, 2)
+        with pytest.raises(ValueError, match="2-D"):
+            st.extend(np.zeros((2, 2, 2)))
+        assert st.points_seen == 0
+
+
+def _clustered_stream(n, k, z, seed):
+    """Shuffled points in k balls of radius 3 plus z far outliers, snapped
+    to a 2^-6 lattice (the shape of the repository benchmark's input)."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-100.0, 100.0, size=(k, 2))
+    dirs = rng.normal(size=(n - z, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = 3.0 * np.sqrt(rng.random(size=(n - z, 1)))
+    pts = centres[np.arange(n - z) % k] + dirs * radii
+    far = rng.normal(size=(z, 2))
+    far *= rng.uniform(1000.0, 2000.0, size=(z, 1)) / np.linalg.norm(
+        far, axis=1, keepdims=True)
+    allp = np.round(np.concatenate([pts, far]) * 64.0) / 64.0
+    return allp[rng.permutation(n)]
+
+
+class TestDistanceWork:
+    def test_pairs_per_arrival_stay_grid_sized(self, monkeypatch):
+        """A silent fall-back to all-pairs scans fails here, without any
+        timing: every distance the arrival path and its recompressions
+        evaluate is counted at the kernels' import sites."""
+        pairs = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                pairs[0] += out.size
+                return out
+            return wrapper
+
+        monkeypatch.setattr(repro.core.metrics, "pairwise_kernel",
+                            counted(repro.core.metrics.pairwise_kernel))
+        for mod in (repro.core.greedy, repro.core.mbc,
+                    repro.streaming.insertion_only):
+            monkeypatch.setattr(mod, "pair_distances",
+                                counted(mod.pair_distances))
+        n = 65_536
+        pts = _clustered_stream(n, 8, 64, seed=3)
+        st = InsertionOnlyCoreset(8, 64, 0.5, 2)
+        for i in range(0, n, 1024):
+            st.extend(pts[i: i + 1024])
+        assert st.doublings > 0 and st.points_seen == n
+        # all-pairs scans cost ~5,000 pairs per arrival on this input
+        assert pairs[0] / n <= 64
