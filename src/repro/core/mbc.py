@@ -111,12 +111,12 @@ _GRID_MIN_POINTS = 192
 _ABSORB_BLOCK = 65_536
 _ABSORB_SPAN_MIN = 1024
 #: candidate pairs per block (bounds and start of the adaptive budget);
-#: the cap bounds a block's memory (~64 bytes a pair)
+#: the cap bounds a block's memory (~64 bytes a pair).  Fixed blocks do
+#: not work: 65,536 uniform points in [0, 1]^2 at delta = 0.1 have 5e8
+#: candidate pairs, and a fixed 2^20-pair budget made dense inputs about
+#: 2x slower than the adaptive one (docs/performance.md)
 _ABSORB_PAIRS_MIN = 1 << 14
 _ABSORB_PAIRS_MAX = 1 << 20
-#: neighbor lists longer than this are absorbed with array operations,
-#: shorter ones point by point
-_ABSORB_SLICE = 64
 
 
 def _greedy_absorb(
@@ -190,11 +190,7 @@ def _greedy_absorb(
             grid = PointGrid.build(pts, side, max_ring=1)
 
     if grid is not None:
-        # `free` and `remaining` share memory: the order loop reads and
-        # clears single points through the bytearray at Python speed, the
-        # block bookkeeping works on the array view
-        free = bytearray(b"\x01") * n
-        remaining = np.frombuffer(free, dtype=bool)
+        remaining = np.ones(n, dtype=bool)
         ring = grid.ring(cutoff)
         start, span, budget = 0, _ABSORB_SPAN_MIN, _ABSORB_PAIRS_MIN
         while start < n:
@@ -231,21 +227,14 @@ def _greedy_absorb(
                                      np.arange(len(block) + 1)).tolist()
             reps = []
             for t, idx in enumerate(block.tolist()):
-                if not free[idx]:
+                if not remaining[idx]:
                     continue
-                rep = len(rep_rows)
+                nb = cand[bounds[t]: bounds[t + 1]]
+                sel = nb[remaining[nb]]
+                assignment[sel] = len(rep_rows)
+                remaining[sel] = False
                 rep_rows.append(idx)
                 reps.append(t)
-                nb = cand[bounds[t]: bounds[t + 1]]
-                if len(nb) > _ABSORB_SLICE:
-                    sel = nb[remaining[nb]]
-                    assignment[sel] = rep
-                    remaining[sel] = False
-                    continue
-                for v in nb.tolist():
-                    if free[v]:
-                        free[v] = 0
-                        assignment[v] = rep
             # size the next block by the pairs this one put to use: a
             # block's non-representatives are wasted pair work, and they
             # dominate on dense inputs

@@ -27,11 +27,11 @@ answer comes from a grid index over ``P*`` whose cell side is just above
 the cutoff, so the ``3^d`` cells around an arrival hold every
 representative within the cutoff (the soundness argument of
 :class:`~repro.geometry.PointGrid`).  The index lives as long as the
-radius: it is rebuilt at ``r`` initialization, at each doubling, after
-:meth:`~InsertionOnlyCoreset.restore`, and when an arrival's coordinates
-outgrow the magnitude its cell side was sized for; new representatives
-are merged into it as they appear.  Other metrics and higher dimensions
-take all pairs as candidates.
+radius: the first chunk after ``r`` initialization, a doubling or
+:meth:`~InsertionOnlyCoreset.restore` rebuilds it, as does a chunk
+whose coordinates outgrow the magnitude its cell side was sized for;
+new representatives are merged into it as they appear.  Other metrics
+and higher dimensions take all pairs as candidates.
 
 Arrivals are processed in chunks, one code path for :meth:`extend` and
 :meth:`insert` alike.  Per chunk, the candidate pairs (row, old
@@ -44,10 +44,10 @@ sequential loop — and every absorbed row goes to its nearest
 representative, lowest index on ties, in one ``bincount``.  A chunk ends
 at the row that triggers ``r`` initialization or a doubling, the only
 events that change the cutoff or rebuild ``P*``.  A one-row chunk (every
-:meth:`~InsertionOnlyCoreset.insert`) skips the chunk bookkeeping, and
-while ``P*`` holds at most :data:`_SCAN_REPS` representatives it scans
-all of them: one distance row costs less than an index lookup there.
-Outputs are bit-identical to the scalar per-arrival loop
+:meth:`~InsertionOnlyCoreset.insert`) skips the chunk bookkeeping and
+scans all of ``P*`` with one distance row; it keeps a current index
+current but never builds one.  Outputs are bit-identical to the scalar
+per-arrival loop
 (:class:`repro.core._greedy_reference.InsertionOnlyReference`; proven by
 the parity tests).
 
@@ -60,7 +60,7 @@ failure-injection tests).
 
 from __future__ import annotations
 
-from math import ceil, floor
+from math import ceil
 
 import numpy as np
 
@@ -75,11 +75,6 @@ __all__ = ["paper_size_threshold", "InsertionOnlyCoreset"]
 #: rows per chunk: bounds the candidate arrays and the work thrown away
 #: when an ``r`` event ends a chunk early
 _CHUNK_ROWS = 1024
-
-#: up to this many representatives, a single arrival scans all of P*:
-#: one 2-D distance row over 2,048 points costs about as much as a grid
-#: lookup (~18 us each on a 2-core Xeon)
-_SCAN_REPS = 2048
 
 #: odd 64-bit multipliers hashing a cell's integer axis indices to one
 #: int64 code under wrapping arithmetic.  The hash is linear, so a
@@ -158,8 +153,14 @@ class _RepGrid:
     quantized indices stay below ``2^30`` (:class:`PointGrid`'s rounding
     argument).  ``limit`` is the coordinate magnitude up to which that
     holds with a factor-2 margin; the owner rebuilds the index for larger
-    arrivals.  Codes are kept sorted with their representative ids, and
-    new representatives are merged in place.
+    arrivals.  ``keys`` holds the cell codes sorted, ``ids`` the
+    representative of each, and new representatives are merged in place.
+
+    :class:`~repro.geometry.PointGrid` cannot serve here: its cell codes
+    are a radix over the fixed extents of the points it was built on, so
+    it cannot take representatives that arrive later, and rebuilding it
+    per arrival or per chunk would cost more than the scan it replaces.
+    Hashing the unbounded axis indices lets the index grow in place.
     """
 
     def __init__(self, cutoff: float, side: float, dim: int):
@@ -167,12 +168,11 @@ class _RepGrid:
         self.side = side
         self.limit = side * 2.0**29
         self._mult = _CELL_HASH[:dim]
-        self._mult_py = self._mult.tolist()
         axes = np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij")
         offsets = np.stack(axes, axis=-1).reshape(-1, dim)
         self.deltas = (offsets * self._mult).sum(axis=1)
-        self._codes = np.zeros(0, dtype=np.int64)
-        self._ids = np.zeros(0, dtype=np.int64)
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.ids = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def build(cls, reps: np.ndarray, cutoff: float,
@@ -197,29 +197,9 @@ class _RepGrid:
         """Merge representatives ``ids`` with cell ``codes`` into the index."""
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
-        pos = np.searchsorted(self._codes, codes, "right")
-        self._codes = np.insert(self._codes, pos, codes)
-        self._ids = np.insert(self._ids, pos, ids[order])
-
-    def near(self, p: np.ndarray) -> np.ndarray:
-        """Ids of the representatives in the cells around one point,
-        ascending (:meth:`candidates` for a single row, in Python integer
-        arithmetic: the same code :meth:`codes` computes, without its
-        per-call array overhead)."""
-        code = 0
-        for x, mult in zip(p.tolist(), self._mult_py):
-            code += floor(x / self.side) * mult
-        targets = self.deltas + ((code + 2**63) % 2**64 - 2**63)
-        lo = self._codes.searchsorted(targets, "left").tolist()
-        hi = self._codes.searchsorted(targets, "right").tolist()
-        ids = self._ids[[t for a, b in zip(lo, hi) for t in range(a, b)]]
-        ids.sort()
-        return ids
-
-    def candidates(self, codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """``(row, representative)`` pairs covering every representative
-        within the cutoff of each queried row; rows ascending."""
-        return _lookup(self._codes, self._ids, codes, self.deltas)
+        pos = np.searchsorted(self.keys, codes, "right")
+        self.keys = np.insert(self.keys, pos, codes)
+        self.ids = np.insert(self.ids, pos, ids[order])
 
 
 class InsertionOnlyCoreset:
@@ -412,14 +392,19 @@ class InsertionOnlyCoreset:
 
     # -- the arrival path ------------------------------------------------------
 
-    def _grid_for(self, cutoff: float, maxabs: float) -> "_RepGrid | None":
+    def _grid_for(self, cutoff: float, maxabs: float,
+                  build: bool = True) -> "_RepGrid | None":
         """The index for ``cutoff`` that can answer rows of magnitude up to
-        ``maxabs``, (re)built if the cutoff changed or the rows outgrew
-        its cells."""
+        ``maxabs``.  An index missing or made stale by a new cutoff or by
+        rows that outgrew its cells is (re)built, or with ``build=False``
+        dropped, leaving the next chunk to build it."""
         if not self._grid_ok:
             return None
         grid = self._grid
         if grid is None or grid.cutoff != cutoff or maxabs >= grid.limit:
+            self._grid = None
+            if not build:
+                return None
             reps = self._buf[: self._size]
             if len(reps):
                 maxabs = max(maxabs, float(np.abs(reps).max()))
@@ -437,7 +422,8 @@ class InsertionOnlyCoreset:
         m, size0 = len(X), self._size
         absorb = self.eps / 2.0 * self.r
         cutoff = absorb + 1e-12 * max(1.0, absorb)
-        grid = self._grid_for(cutoff, maxabs)
+        # a single arrival scans P* and does not need the index
+        grid = self._grid_for(cutoff, maxabs, build=m > 1)
         if m == 1:
             return self._arrive_one(X, cutoff, grid)
         # the chunk sits in the buffer past P* so that one pair_distances
@@ -445,10 +431,11 @@ class InsertionOnlyCoreset:
         self._reserve(size0 + m)
         self._buf[size0: size0 + m] = X
 
-        # nearest old representative per row
+        # nearest old representative per row: the index's ring-1 cells
+        # hold every representative within the cutoff
         codes = None if grid is None else grid.codes(X)
         if grid is not None:
-            rows, reps = grid.candidates(codes)
+            rows, reps = _lookup(grid.keys, grid.ids, codes, grid.deltas)
             near_d, near_j = _nearest(
                 rows, reps, self._distances(rows + size0, reps), m)
         elif size0:
@@ -512,20 +499,15 @@ class InsertionOnlyCoreset:
                     grid: "_RepGrid | None") -> int:
         """The one-row case of :meth:`_arrive`: the same rule and events
         without the chunk bookkeeping, whose fixed cost would dominate a
-        per-point :meth:`insert` loop.  While ``P*`` is small, one distance
-        row over all of it is cheaper than an index lookup, so the grid
-        serves the candidates only beyond :data:`_SCAN_REPS`."""
+        per-point :meth:`insert` loop.  It scans all of ``P*`` with one
+        distance row and merges a new representative into ``grid``, the
+        index if one is current."""
         size = self._size
-        if grid is not None and size > _SCAN_REPS:
-            cand = grid.near(X[0])
-            reps = self._buf[cand]
-        else:
-            cand, reps = None, self._buf[:size]
-        if len(reps):
-            dists = self.metric.pairwise(X, reps)[0]
+        if size:
+            dists = self.metric.pairwise(X, self._buf[:size])[0]
             j = int(dists.argmin())
             if dists[j] <= cutoff:
-                self._w[j if cand is None else cand[j]] += 1
+                self._w[j] += 1
                 self._n += 1
                 return 1
         self._reserve(size + 1)

@@ -161,12 +161,11 @@ def _same_state(st, ref) -> bool:
 
 
 class TestReferenceParity:
-    def test_fuzzed_streams_match_scalar_reference(self, monkeypatch):
+    def test_fuzzed_streams_match_scalar_reference(self):
         """Every chunking of seeded fuzzed streams (d 1-4, three norms,
         duplicate-heavy, clustered and +-1e6 inputs, caps forcing many
-        doublings) replays the scalar reference loop bit for bit.  Half
-        the configurations route single arrivals through the grid lookup
-        instead of the small-P* scan."""
+        doublings) replays the scalar reference loop bit for bit, also
+        with single inserts interleaved between extends."""
         rng = np.random.default_rng(20240611)
         doubled = 0
         for case in range(40):
@@ -188,17 +187,18 @@ class TestReferenceParity:
             ref = insertion_only_reference(pts, k, z, eps, d, metric=metric,
                                            size_cap=cap)
             doubled += ref.doublings > 0
-            monkeypatch.setattr(repro.streaming.insertion_only, "_SCAN_REPS",
-                                0 if case % 2 else 2048)
-            for chunk in (1, 7, 256, n):
+            for sizes in ((1,), (7,), (256,), (n,), (1, 7)):
                 st = InsertionOnlyCoreset(k, z, eps, d, metric=metric,
                                           size_cap=cap)
-                for i in range(0, n, chunk):
+                i, t = 0, 0
+                while i < n:
+                    chunk = sizes[t % len(sizes)]
                     if chunk == 1:
                         st.insert(pts[i])
                     else:
                         st.extend(pts[i: i + chunk])
-                assert _same_state(st, ref), (case, chunk)
+                    i, t = i + chunk, t + 1
+                assert _same_state(st, ref), (case, sizes)
         assert doubled >= 30
 
 
