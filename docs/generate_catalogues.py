@@ -69,13 +69,13 @@ def generate_backends() -> str:
         "Backends with required options (passed as session keywords):",
         "",
         "- `dynamic`, `dynamic-deterministic` — `delta_universe` (integer",
-        "  universe size; coordinates must lie in `1..Delta`).",
+        "  universe size; coordinates must be integers in `1..Delta`).",
         "- `sliding-window` — `window`, `r_min`, `r_max` (window length and",
         "  the radius-ladder bounds).",
         "- MPC backends — optional `num_machines`, `partition` (plus",
         "  `final_compress`, `outlier_guessing` or `rounds` where the",
-        "  algorithm has them). Execution is set by the spec's `executor`,",
-        "  `jobs` and `decision_jobs` fields, not by session options.",
+        "  algorithm has them). Sessions run the machines serially; the",
+        "  protocol functions in `repro.mpc` take an `executor` argument.",
         "",
         "Custom algorithms plug in via `repro.api.register_backend`; see",
         "`examples/composable_pipeline.py`.",

@@ -10,9 +10,10 @@ local outlier count, so the faulty worker budgets ~z while healthy
 workers budget 0.  The registry makes the baseline comparison one string
 away: 'cpp-mpc-deterministic' must budget z on every machine.
 
-The spec's ``executor``/``jobs`` knobs fan the per-machine work out over
-a real worker pool (here: 4 threads — the distance kernels release the
-GIL); results are bit-identical to a serial run.
+Sessions run the machines one after another.  The protocol functions
+take an ``executor`` that fans the per-machine work out over a real
+worker pool (here: 4 threads — the distance kernels release the GIL);
+the result is bit-identical to the serial run.
 
 Run:  python examples/mpc_sensor_fleet.py
 """
@@ -20,23 +21,19 @@ Run:  python examples/mpc_sensor_fleet.py
 import numpy as np
 
 from repro.api import KCenterSession, ProblemSpec
-from repro.mpc import partition_adversarial_outliers
+from repro.mpc import partition_adversarial_outliers, two_round_coreset
 from repro.workloads import clustered_with_outliers
 
 rng = np.random.default_rng(7)
 n, m = 6000, 12
-spec = ProblemSpec(k=4, z=120, eps=0.5, dim=3, seed=0,
-                   executor="thread", jobs=4)
+spec = ProblemSpec(k=4, z=120, eps=0.5, dim=3, seed=0)
 
 wl = clustered_with_outliers(n, spec.k, spec.z, d=spec.dim, rng=rng)
 P = wl.point_set()
-adversarial = lambda pts: partition_adversarial_outliers(  # noqa: E731
-    pts, wl.outlier_mask, m, rng
-)
+parts = partition_adversarial_outliers(P, wl.outlier_mask, m, rng)
+adversarial = lambda pts: parts  # noqa: E731 - the fixed sharding of P
 print(f"fleet: {n} readings over {m} machines, k={spec.k} regimes, "
       f"z={spec.z} faulty")
-print(f"execution: {spec.executor} pool, jobs={spec.jobs} "
-      f"(bit-identical to serial)")
 print(f"outliers per machine: "
       f"{[int(wl.outlier_mask.sum()) if i == 1 else 0 for i in range(m)][:6]} ...")
 
@@ -52,6 +49,14 @@ print(f"  sum of budgets {sum(res.extras['outlier_budgets'])} <= 2z = {2 * spec.
 print(f"  coreset size {sol.coreset_size}, coordinator peak "
       f"{res.stats.coordinator_peak} items,")
 print(f"  worker peak {res.stats.worker_peak} items, rounds {res.stats.rounds}")
+
+# -- the same protocol, machines fanned out over 4 threads ---------------------
+fanned = two_round_coreset(parts, spec.k, spec.z, spec.eps,
+                           executor="thread:4")
+same = (np.array_equal(fanned.coreset.points, res.coreset.points)
+        and np.array_equal(fanned.coreset.weights, res.coreset.weights))
+print(f"  thread:4 executor: coreset bit-identical to the session's: {same}")
+assert same
 
 # -- baseline: CPP19 must budget z on EVERY machine ---------------------------
 base = KCenterSession.from_spec(spec, backend="cpp-mpc-deterministic",

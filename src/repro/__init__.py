@@ -69,7 +69,7 @@ from .core import (
     update_coreset,
 )
 
-__version__ = "3.1.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "KCenterSession",

@@ -47,7 +47,6 @@ from ..streaming.dynamic import DynamicCoreset
 from ..streaming.dynamic_deterministic import DeterministicDynamicCoreset
 from ..streaming.insertion_only import InsertionOnlyCoreset
 from ..streaming.sliding_window import SlidingWindowCoreset
-from ..store import is_chunked, iter_point_chunks
 from .registry import register_backend
 from .spec import ProblemSpec
 
@@ -143,33 +142,8 @@ class _BackendBase:
         )
 
     def extend(self, points) -> None:
-        if is_chunked(points):
-            return self._extend_from_source(points)
         for p in np.atleast_2d(np.asarray(points, dtype=float)):
             self.insert(p)
-
-    def _extend_from_source(self, chunks) -> None:
-        """Ingest a :class:`~repro.store.PointSource` / chunk iterator by
-        re-entering :meth:`extend` per chunk.  Bit-identical to one
-        monolithic ``extend``: every backend's batch path is
-        chunking-invariant (property-tested in
-        ``tests/test_out_of_core.py``).  Weighted chunks route through
-        ``extend_weighted`` where the backend has one."""
-        for pts, w in iter_point_chunks(chunks):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            if not len(pts):
-                continue
-            if w is None:
-                self.extend(pts)
-                continue
-            ew = getattr(self, "extend_weighted", None)
-            if ew is None:
-                raise UnsupportedOperationError(
-                    f"{type(self).__name__} does not accept weighted "
-                    "chunks (no extend_weighted); expand the weights or "
-                    "use a buffered backend"
-                )
-            ew(WeightedPointSet(pts, np.asarray(w, dtype=np.int64)))
 
     def coreset(self) -> WeightedPointSet:
         raise NotImplementedError
@@ -235,8 +209,6 @@ class _BufferedBackendBase(_BackendBase):
         self.extend(np.asarray(point, dtype=float).reshape(1, -1))
 
     def extend(self, points) -> None:
-        if is_chunked(points):
-            return self._extend_from_source(points)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(pts) == 0:
             return
@@ -331,7 +303,6 @@ class OfflineMBCBackend(_BufferedBackendBase):
             return P
         self.last_mbc = mbc_construction(
             P, self.spec.k, self.spec.z, self.spec.eps, self.spec.resolved_metric,
-            decision_jobs=self.spec.decision_jobs,
         )
         return self.last_mbc.coreset
 
@@ -368,8 +339,6 @@ class _StreamingBackendBase(_AlgoSnapshotMixin, _BackendBase):
         # batch path: the structure answers each chunk's nearest-
         # representative queries from its grid index (one arrival path
         # for insert and extend)
-        if is_chunked(points):
-            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def coreset(self) -> WeightedPointSet:
@@ -489,8 +458,6 @@ class DynamicBackend(_AlgoSnapshotMixin, _BackendBase):
 
     def extend(self, points) -> None:
         """Batched sketch updates for inserted points."""
-        if is_chunked(points):
-            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def delete_many(self, points) -> None:
@@ -560,8 +527,6 @@ class DeterministicDynamicBackend(_AlgoSnapshotMixin, _BackendBase):
 
     def extend(self, points) -> None:
         """Batched sketch updates for inserted points."""
-        if is_chunked(points):
-            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def delete_many(self, points) -> None:
@@ -641,8 +606,6 @@ class SlidingWindowBackend(_AlgoSnapshotMixin, _BackendBase):
 
     def extend(self, points) -> None:
         """Batched ingest across the whole guess ladder at once."""
-        if is_chunked(points):
-            return self._extend_from_source(points)
         self.algo.extend(points)
 
     def coreset(self) -> WeightedPointSet:
@@ -690,11 +653,9 @@ class MPCBackend(_BufferedBackendBase):
         (the randomized algorithms' input model), or a callable
         ``P -> list[WeightedPointSet]`` for custom distributions.
 
-    Execution comes from the spec alone: machine-local work fans out
-    through :meth:`ProblemSpec.resolved_executor` (serial unless the
-    spec sets ``executor`` or ``jobs``), and ``spec.decision_jobs``
-    shards the machine-local radius searches.  Results are bit-identical
-    under every setting.
+    Sessions run the machines serially; the protocol functions take an
+    ``executor`` to fan machine-local work out (bit-identical results
+    under every executor).
     """
 
     #: default partition scheme; deterministic algorithms tolerate any
@@ -709,7 +670,6 @@ class MPCBackend(_BufferedBackendBase):
         super().__init__(spec)
         self.num_machines = num_machines
         self.partition = partition if partition is not None else self.default_partition
-        self.executor = spec.resolved_executor()
         self.last_result: "MPCCoresetResult | None" = None
 
     def _invalidate(self) -> None:
@@ -781,8 +741,6 @@ class TwoRoundMPCBackend(MPCBackend):
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
             outlier_guessing=self.outlier_guessing,
-            executor=self.executor,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -818,8 +776,6 @@ class OneRoundMPCBackend(MPCBackend):
             parts, self.spec.k, self.spec.z, self.spec.eps,
             metric=self.spec.resolved_metric,
             final_compress=self.final_compress,
-            executor=self.executor,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -853,8 +809,6 @@ class MultiRoundMPCBackend(MPCBackend):
         return multi_round_coreset(
             parts, self.spec.k, self.spec.z, self.spec.eps,
             rounds=self.rounds, metric=self.spec.resolved_metric,
-            executor=self.executor,
-            decision_jobs=self.spec.decision_jobs,
         )
 
     def guarantee(self) -> Guarantee:
@@ -879,7 +833,7 @@ class CPPDeterministicMPCBackend(MPCBackend):
     def _run(self, parts):
         return ceccarello_one_round_deterministic(
             parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric, executor=self.executor,
+            metric=self.spec.resolved_metric,
         )
 
     def guarantee(self) -> Guarantee:
@@ -907,7 +861,7 @@ class CPPRandomizedMPCBackend(MPCBackend):
     def _run(self, parts):
         return ceccarello_one_round_randomized(
             parts, self.spec.k, self.spec.z, self.spec.eps,
-            metric=self.spec.resolved_metric, executor=self.executor,
+            metric=self.spec.resolved_metric,
         )
 
     def guarantee(self) -> Guarantee:

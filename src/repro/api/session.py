@@ -63,8 +63,8 @@ __all__ = ["Solution", "KCenterSession"]
 #: ``kind`` tag in session snapshot manifests.
 _SNAPSHOT_KIND = "kcenter-session"
 
-#: MPC session options older snapshots may carry; execution is set by the
-#: spec alone now, and every value computed the same results
+#: MPC session options older snapshots may carry; sessions run MPC
+#: machines serially now, and every value computed the same results
 _RETIRED_OPTIONS = ("executor", "jobs", "parallel", "prune", "decision_jobs")
 
 
@@ -299,10 +299,7 @@ class KCenterSession:
                 centers = np.zeros((0, cs.dim if len(cs) else (spec.dim or 1)))
                 radius = 0.0
             elif method == "greedy3":
-                res = charikar_greedy(
-                    cs, spec.k, spec.z, spec.resolved_metric,
-                    decision_jobs=spec.decision_jobs,
-                )
+                res = charikar_greedy(cs, spec.k, spec.z, spec.resolved_metric)
                 centers, radius = cs.points[res.centers_idx], res.radius
                 greedy_path = res.path
                 greedy_stats = res.stats
@@ -435,9 +432,9 @@ class KCenterSession:
         **options:
             Overrides layered over the saved construction options.
             Only *recompute-time* knobs may change on resume
-            (``num_machines``); execution settings live in the spec, and
-            the retired ``executor``, ``jobs``, ``parallel``, ``prune``
-            and ``decision_jobs`` options of older snapshots are dropped;
+            (``num_machines``); sessions run MPC machines serially, and
+            the retired execution options of older snapshots
+            (``_RETIRED_OPTIONS``) are dropped;
             geometry-defining options (``window``, ``r_min``/``r_max``,
             ``delta_universe``, sketch sizing) are part of the state's
             meaning and the backend's ``restore`` rejects a mismatch

@@ -25,7 +25,8 @@ __all__ = ["ProblemSpec"]
 
 #: keys older :meth:`ProblemSpec.as_dict` records carry; only a
 #: ``dtype`` other than float64 ever changed results
-_RETIRED_KEYS = ("dtype", "kernel_backend", "kernel_chunk", "prune")
+_RETIRED_KEYS = ("dtype", "kernel_backend", "kernel_chunk", "prune",
+                 "executor", "jobs", "decision_jobs")
 
 
 @dataclass(frozen=True)
@@ -53,21 +54,11 @@ class ProblemSpec:
         backends whose size thresholds depend on the doubling dimension
         (streaming, sliding-window, dynamic); ``None`` is accepted for
         purely offline/MPC use.
-    executor:
-        How backends fan out their machine-local work: ``"serial"``,
-        ``"thread"``, ``"process"`` (optionally ``"thread:8"`` with an
-        inline job count), or ``None`` for serial.  Honored by the MPC
-        backends; results are bit-identical under every executor (see
-        :mod:`repro.engine`).
-    jobs:
-        Worker count for the executor; ``None`` means one worker per
-        item up to the CPU count.
-    decision_jobs:
-        Threads each pruned radius-search decision shards its cell scans
-        across (``>= 1``; ``None`` means serial).  The deterministic
-        shard reduction keeps results bit-identical to serial at any job
-        count.  Independent of ``jobs``, which fans out per-machine MPC
-        work.
+
+    The spec describes the problem only.  How the work is executed is
+    not part of it: sessions run serially, and the functions that can
+    fan out take their own knob (``executor=`` on the MPC protocols, a
+    thread count on :func:`repro.core.greedy.charikar_greedy`).
     """
 
     k: int
@@ -76,9 +67,6 @@ class ProblemSpec:
     metric: "Metric | str | None" = None
     seed: "int | None" = None
     dim: "int | None" = None
-    executor: "str | None" = None
-    jobs: "int | None" = None
-    decision_jobs: "int | None" = None
     _metric_obj: Metric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,20 +80,6 @@ class ProblemSpec:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.seed is not None and int(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.executor is not None and not isinstance(self.executor, str):
-            raise ValueError(
-                f"executor must be an executor name or None, got {self.executor!r}"
-            )
-        if self.jobs is not None and int(self.jobs) < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.jobs is not None:
-            object.__setattr__(self, "jobs", int(self.jobs))
-        if self.decision_jobs is not None:
-            if int(self.decision_jobs) < 1:
-                raise ValueError(
-                    f"decision_jobs must be >= 1, got {self.decision_jobs}"
-                )
-            object.__setattr__(self, "decision_jobs", int(self.decision_jobs))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "z", int(self.z))
         object.__setattr__(self, "eps", float(self.eps))
@@ -146,30 +120,18 @@ class ProblemSpec:
             return np.random.default_rng()
         return np.random.default_rng(self.seed + salt)
 
-    def resolved_executor(self):
-        """The :class:`~repro.engine.Executor` the spec's ``executor`` /
-        ``jobs`` knobs describe (a fresh instance per call), which the
-        MPC backends fan out through: ``jobs`` alone implies a thread
-        pool, neither knob means serial."""
-        from ..engine import get_executor  # local: keep spec import-light
-
-        if self.executor is None and self.jobs is None:
-            return get_executor(None)
-        return get_executor(
-            self.executor if self.executor is not None else "thread", self.jobs
-        )
-
     # -- derivation --------------------------------------------------------
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemSpec":
         """Rebuild a spec from an :meth:`as_dict` record.
 
-        Older records carry four retired keys: ``dtype``,
-        ``kernel_backend``, ``kernel_chunk`` and ``prune``.  They are
+        Older records carry the retired keys in :data:`_RETIRED_KEYS`:
+        ``dtype``, ``kernel_backend``, ``kernel_chunk`` and ``prune``
+        (2.x and earlier) and the three execution keys of 3.x.  They are
         dropped, since what remains computes what they computed (every
-        kernel backend, chunk size and ``prune`` value was
-        bit-identical).  A record with a ``dtype`` other than
+        kernel backend, chunk size, ``prune`` value and execution setting
+        was bit-identical).  A record with a ``dtype`` other than
         ``"float64"`` raises :class:`ValueError` naming ``dtype``: its
         lower-precision results cannot be reproduced.
         """
@@ -189,8 +151,6 @@ class ProblemSpec:
         base = {
             "k": self.k, "z": self.z, "eps": self.eps,
             "metric": self.metric, "seed": self.seed, "dim": self.dim,
-            "executor": self.executor, "jobs": self.jobs,
-            "decision_jobs": self.decision_jobs,
         }
         base.update(changes)
         return ProblemSpec(**base)
@@ -204,9 +164,6 @@ class ProblemSpec:
             "metric": self.metric_name,
             "seed": self.seed,
             "dim": self.dim,
-            "executor": self.executor,
-            "jobs": self.jobs,
-            "decision_jobs": self.decision_jobs,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -268,7 +268,6 @@ def mbc_construction(
     metric: "Metric | str | None" = None,
     radius: "float | None" = None,
     order: "np.ndarray | None" = None,
-    decision_jobs: "int | None" = None,
 ) -> MiniBallCovering:
     """Algorithm 1: ``MBCConstruction(P, k, z, eps)``.
 
@@ -277,15 +276,12 @@ def mbc_construction(
     radius:
         Optional externally supplied ``Greedy`` radius (the MPC algorithms
         reuse radii computed in an earlier round); when ``None``,
-        ``Greedy(P,k,z)`` is invoked.
+        ``Greedy(P,k,z)`` is invoked, and when that radius search ran its
+        grid-pruned path, the absorption reuses its persistent grid
+        ladder instead of re-bucketing the points.
     order:
         Optional permutation controlling which 'arbitrary point' is picked
         first (the guarantee holds for any order).
-    decision_jobs:
-        Decision sharding of the embedded radius search (see
-        :func:`repro.core.greedy.charikar_greedy`).  When the radius
-        search ran its grid-pruned path, the absorption reuses its
-        persistent grid ladder instead of re-bucketing the points.
 
     Returns an ``(eps', k, z)``-mini-ball covering with
     ``eps' = eps * (r / (3 opt)) <= eps`` — i.e. at least as good as
@@ -296,7 +292,7 @@ def mbc_construction(
     metric = get_metric(metric)
     hierarchy = None
     if radius is None:
-        res = charikar_greedy(wps, k, z, metric, decision_jobs=decision_jobs)
+        res = charikar_greedy(wps, k, z, metric)
         radius = res.radius
         hierarchy = res.geometry
     delta = eps * radius / 3.0

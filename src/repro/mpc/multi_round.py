@@ -31,7 +31,6 @@ def multi_round_coreset(
     metric=None,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 7 with ``R = rounds`` communication rounds.
 
@@ -39,9 +38,6 @@ def multi_round_coreset(
     ``M_1``, the coordinator).  ``eps_guarantee = (1+eps)^rounds - 1``.
     The per-round machine-local MBC constructions fan out through
     ``executor`` (bit-identical results under every executor).
-    ``decision_jobs`` shards the radius-search decisions
-    (:func:`repro.core.greedy.charikar_greedy`) of every per-round MBC
-    construction.
     """
     metric = get_metric(metric)
     m = len(parts)
@@ -70,8 +66,7 @@ def multi_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(Q[i], k, z, eps, metric, None, decision_jobs)
-             for i in range(active)],
+            [(Q[i], k, z, eps, metric, None) for i in range(active)],
             machines=machines[:active],
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
         )

@@ -45,7 +45,6 @@ def one_round_coreset(
     final_compress: bool = True,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 6 on randomly partitioned input.
 
@@ -56,10 +55,7 @@ def one_round_coreset(
 
     ``executor`` selects how the machine-local MBC constructions run
     (name, :class:`~repro.engine.Executor`, or ``None`` for serial);
-    results are bit-identical under every executor.  ``decision_jobs``
-    shards the radius-search decisions
-    (:func:`repro.core.greedy.charikar_greedy`) of the machine-local and
-    coordinator MBC constructions.
+    results are bit-identical under every executor.
     """
     metric = get_metric(metric)
     m = len(parts)
@@ -75,8 +71,7 @@ def one_round_coreset(
     mbcs = map_machines(
         get_executor(executor),
         mbc_task,
-        [(part, k, zprime, eps, metric, None, decision_jobs)
-         for part in parts],
+        [(part, k, zprime, eps, metric, None) for part in parts],
         machines=machines,
         charge=lambda mach, task, mbc: (mach.charge(len(task[0])), mach.charge(mbc.size)),
     )
@@ -91,9 +86,7 @@ def one_round_coreset(
         else WeightedPointSet.empty(parts[0].dim)
     )
     if final_compress and len(union):
-        final_mbc = mbc_construction(
-            union, k, z, eps, metric, decision_jobs=decision_jobs,
-        )
+        final_mbc = mbc_construction(union, k, z, eps, metric)
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)
         eps_out = compose_errors(eps, eps)

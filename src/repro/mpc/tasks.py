@@ -20,31 +20,19 @@ __all__ = ["mbc_task", "radius_vector_task", "cpp_local_task"]
 
 
 def mbc_task(args) -> MiniBallCovering:
-    """``(part, k, z_local, eps, metric, radius, decision_jobs)`` →
-    ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7).
-
-    ``decision_jobs`` (:func:`repro.core.greedy.charikar_greedy`) rides
-    inside the task tuple because a ``ProcessExecutor`` worker only sees
-    the tuple.
-    """
-    part, k, z_local, eps, metric, radius, decision_jobs = args
-    return mbc_construction(
-        part, k, z_local, eps, metric, radius=radius,
-        decision_jobs=decision_jobs,
-    )
+    """``(part, k, z_local, eps, metric, radius)`` →
+    ``MBCConstruction(part, k, z_local, eps)`` (Lemma 7)."""
+    part, k, z_local, eps, metric, radius = args
+    return mbc_construction(part, k, z_local, eps, metric, radius=radius)
 
 
 def radius_vector_task(args) -> np.ndarray:
-    """``(part, k, veclen, metric, decision_jobs)`` → the round-1
-    vector ``V_i`` of Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)``
-    radius."""
-    part, k, veclen, metric, decision_jobs = args
+    """``(part, k, veclen, metric)`` → the round-1 vector ``V_i`` of
+    Algorithm 2: ``V_i[j] = Greedy(part, k, 2^j - 1)`` radius."""
+    part, k, veclen, metric = args
     v = np.zeros(veclen)
     for j in range(veclen):
-        zj = (1 << j) - 1
-        v[j] = charikar_greedy(
-            part, k, zj, metric, decision_jobs=decision_jobs
-        ).radius
+        v[j] = charikar_greedy(part, k, (1 << j) - 1, metric).radius
     return v
 
 

@@ -104,7 +104,6 @@ def two_round_coreset(
     outlier_guessing: bool = True,
     cluster: "SimulatedMPC | None" = None,
     executor=None,
-    decision_jobs: "int | None" = None,
 ) -> MPCCoresetResult:
     """Run Algorithm 2 on pre-partitioned input.
 
@@ -125,9 +124,6 @@ def two_round_coreset(
         (``"serial"``, ``"thread"``, ``"process"``), a
         :class:`~repro.engine.Executor` instance, or ``None`` (serial).
         Results are bit-identical under every executor.
-    decision_jobs:
-        Decision sharding (:func:`repro.core.greedy.charikar_greedy`),
-        shipped inside the task tuples so process workers honor it too.
 
     Returns the coordinator's coreset with ``eps_guarantee = 3*eps`` when
     re-compressed, ``eps`` otherwise.
@@ -153,7 +149,7 @@ def two_round_coreset(
         vectors = map_machines(
             exec_,
             radius_vector_task,
-            [(part, k, veclen, metric, decision_jobs) for part in parts],
+            [(part, k, veclen, metric) for part in parts],
             machines=machines,
             charge=lambda mach, task, vec: mach.charge(veclen),  # own vector
         )
@@ -170,8 +166,7 @@ def two_round_coreset(
             exec_,
             mbc_task,
             [
-                (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]),
-                 decision_jobs)
+                (part, k, (1 << jhat) - 1, eps, metric, float(vec[jhat]))
                 for part, jhat, vec in zip(parts, jhats, vectors)
             ],
             machines=machines,
@@ -186,8 +181,7 @@ def two_round_coreset(
         mbcs = map_machines(
             exec_,
             mbc_task,
-            [(part, k, z, eps, metric, None, decision_jobs)
-             for part in parts],
+            [(part, k, z, eps, metric, None) for part in parts],
             machines=machines,
             charge=lambda mach, task, mbc: mach.charge(mbc.size),
         )
@@ -202,9 +196,7 @@ def two_round_coreset(
         len(s) for s in received
     ) else WeightedPointSet.empty(parts[0].dim)
     if final_compress and len(union):
-        final_mbc = mbc_construction(
-            union, k, z, eps, metric, decision_jobs=decision_jobs,
-        )
+        final_mbc = mbc_construction(union, k, z, eps, metric)
         coreset = final_mbc.coreset
         machines[0].charge(final_mbc.size)
         eps_out = compose_errors(eps, eps)  # <= 3*eps for eps <= 1

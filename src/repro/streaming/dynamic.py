@@ -39,6 +39,23 @@ from ..sketches.sparse_recovery import SSparseRecovery
 __all__ = ["DynamicCoreset", "DynamicKCenter"]
 
 
+def _integer_rows(points) -> np.ndarray:
+    """``points`` as int64 rows, or :class:`ValueError` when a coordinate
+    is not an integer (a silent cast would move a point into another
+    cell).  Range checks against ``[Delta]^d`` stay with the grids."""
+    pts = np.atleast_2d(np.asarray(points))
+    if pts.dtype.kind in "iub":
+        return pts.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        ints = pts.astype(np.int64)
+    if np.any(ints != pts):
+        raise ValueError(
+            "coordinates must be integers in 1..Delta; got non-integral "
+            "or non-finite values"
+        )
+    return ints
+
+
 class DynamicCoreset:
     """Fully dynamic relaxed ``(eps,k,z)``-coreset over ``[Delta]^d``.
 
@@ -101,35 +118,26 @@ class DynamicCoreset:
 
     # -- stream interface -------------------------------------------------
 
-    def _update(self, point, sign: int) -> None:
-        p = np.asarray(point, dtype=np.int64).reshape(1, -1)
-        self._updates += 1
-        for lvl, sk, f0 in zip(self._levels, self._sparse, self._f0):
-            cid = int(lvl.cell_ids(p)[0])
-            sk.update(cid, sign)
-            if f0 is not None:
-                f0.update(cid, sign)
-
     def insert(self, point) -> None:
         """Insert one point of ``[Delta]^d``."""
-        self._update(point, +1)
+        self._apply_batch(np.reshape(point, (1, -1)), +1)
 
     def delete(self, point) -> None:
         """Delete one previously inserted point (strict turnstile)."""
-        self._update(point, -1)
+        self._apply_batch(np.reshape(point, (1, -1)), -1)
 
     def _apply_batch(self, points, sign: int) -> None:
         """Batched ``+-1`` updates: per grid, ONE vectorized cell-id pass
         plus one sketch update per distinct touched cell.  The sketches
         are linear, so the final state is identical to per-point updates.
 
-        All cell ids are computed (which validates every coordinate
-        against ``[Delta]^d``) *before* any sketch is touched, so a bad
-        batch raises with the structure unmutated — the batch is
-        all-or-nothing, which is what makes the session's update
+        Every coordinate is checked (integral, inside ``[Delta]^d``) and
+        all cell ids are computed *before* any sketch or counter is
+        touched, so a bad batch raises with the structure unmutated — the
+        batch is all-or-nothing, which is what makes the update
         accounting exact.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
+        pts = _integer_rows(points)
         if len(pts) == 0:
             return
         per_level = [
@@ -220,30 +228,31 @@ class DynamicCoreset:
         Raises ``RuntimeError`` if every grid fails (probability bounded
         by the sketch failure parameter; never observed in tests).
         """
-        for i, (lvl, sk, f0) in enumerate(zip(self._levels, self._sparse, self._f0)):
-            if f0 is not None and not f0.at_most(self.s):
-                continue
-            res = sk.decode(max_items=2 * self.s + 2)
-            if not res.success or len(res.items) > 2 * self.s:
-                # F0 was optimistic or decode failed; try the next grid
-                continue
-            if not res.items:
-                return WeightedPointSet.empty(self.hier.dim)
-            cells = np.array(sorted(res.items))
-            weights = np.array([res.items[c] for c in cells], dtype=np.int64)
-            centers = np.array([lvl.cell_center(int(c)) for c in cells])
-            return WeightedPointSet(centers, weights)
-        raise RuntimeError("all grid sketches failed to decode (sketch failure)")
+        i, items = self._decoded_level()
+        if not items:
+            return WeightedPointSet.empty(self.hier.dim)
+        lvl = self._levels[i]
+        cells = np.array(sorted(items))
+        weights = np.array([items[c] for c in cells], dtype=np.int64)
+        centers = np.array([lvl.cell_center(int(c)) for c in cells])
+        return WeightedPointSet(centers, weights)
 
     def selected_level(self) -> int:
         """Index of the grid the current query would report from."""
-        for i, (lvl, sk, f0) in enumerate(zip(self._levels, self._sparse, self._f0)):
+        return self._decoded_level()[0]
+
+    def _decoded_level(self) -> "tuple[int, dict]":
+        """The finest grid whose sketch decodes, with its recovered
+        ``{cell: count}`` items."""
+        for i, (sk, f0) in enumerate(zip(self._sparse, self._f0)):
             if f0 is not None and not f0.at_most(self.s):
                 continue
             res = sk.decode(max_items=2 * self.s + 2)
+            # F0 can be optimistic and decoding can fail; then the next
+            # (coarser) grid is tried
             if res.success and len(res.items) <= 2 * self.s:
-                return i
-        raise RuntimeError("all grid sketches failed to decode")
+                return i, res.items
+        raise RuntimeError("all grid sketches failed to decode (sketch failure)")
 
 
 class DynamicKCenter:

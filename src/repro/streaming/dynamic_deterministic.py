@@ -28,6 +28,7 @@ from ..core.points import WeightedPointSet
 from ..geometry.grid import GridHierarchy
 from ..geometry.packing import grid_cell_bound
 from ..sketches.vandermonde import PRIME_31, VandermondeSketch
+from .dynamic import _integer_rows
 
 __all__ = ["DeterministicDynamicCoreset"]
 
@@ -81,28 +82,22 @@ class DeterministicDynamicCoreset:
 
     # -- stream interface -------------------------------------------------
 
-    def _update(self, point, sign: int) -> None:
-        p = np.asarray(point, dtype=np.int64).reshape(1, -1)
-        self._updates += 1
-        for lvl, sk in zip(self._levels, self._sketches):
-            sk.update(int(lvl.cell_ids(p)[0]), sign)
-
     def insert(self, point) -> None:
         """Insert a point of ``[Delta]^d``."""
-        self._update(point, +1)
+        self._apply_batch(np.reshape(point, (1, -1)), +1)
 
     def delete(self, point) -> None:
         """Delete a previously inserted point (strict turnstile)."""
-        self._update(point, -1)
+        self._apply_batch(np.reshape(point, (1, -1)), -1)
 
     def _apply_batch(self, points, sign: int) -> None:
         """Batched updates: one vectorized cell-id pass per grid, one
         field update per distinct touched cell (linearity makes this
-        exactly equivalent to per-point updates).  All cell ids are
-        computed (validating every coordinate) before any field update,
-        so a bad batch raises with the structure unmutated
-        (all-or-nothing)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
+        exactly equivalent to per-point updates).  Every coordinate is
+        checked (integral, inside ``[Delta]^d``) and all cell ids are
+        computed before any field update or counter change, so a bad
+        batch raises with the structure unmutated (all-or-nothing)."""
+        pts = _integer_rows(points)
         if len(pts) == 0:
             return
         per_level = [
@@ -162,25 +157,27 @@ class DeterministicDynamicCoreset:
     def coreset(self) -> WeightedPointSet:
         """The relaxed ``(eps,k,z)``-coreset from the finest decodable
         grid.  Deterministic: same update sequence, same output."""
-        for lvl, sk in zip(self._levels, self._sketches):
+        i, items = self._decoded_level()
+        if not items:
+            return WeightedPointSet.empty(self.hier.dim)
+        lvl = self._levels[i]
+        cells = np.array(sorted(items))
+        weights = np.array([items[c] for c in cells], dtype=np.int64)
+        centers = np.array([lvl.cell_center(int(c)) for c in cells])
+        return WeightedPointSet(centers, weights)
+
+    def selected_level(self) -> int:
+        """Index of the grid the current query reports from."""
+        return self._decoded_level()[0]
+
+    def _decoded_level(self) -> "tuple[int, dict]":
+        """The finest grid whose sketch decodes consistently, with its
+        recovered ``{cell: count}`` items."""
+        for i, sk in enumerate(self._sketches):
             res = sk.decode()
-            if not res.success or len(res.items) > self.s:
-                continue
-            if not res.items:
-                return WeightedPointSet.empty(self.hier.dim)
-            cells = np.array(sorted(res.items))
-            weights = np.array([res.items[c] for c in cells], dtype=np.int64)
-            centers = np.array([lvl.cell_center(int(c)) for c in cells])
-            return WeightedPointSet(centers, weights)
+            if res.success and len(res.items) <= self.s:
+                return i, res.items
         raise RuntimeError(
             "no grid decoded; the live set's support exceeds the sketches' "
             "capacity at every level (cannot happen when s follows Lemma 25)"
         )
-
-    def selected_level(self) -> int:
-        """Index of the grid the current query reports from."""
-        for i, sk in enumerate(self._sketches):
-            res = sk.decode()
-            if res.success and len(res.items) <= self.s:
-                return i
-        raise RuntimeError("no grid decoded")

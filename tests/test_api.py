@@ -37,18 +37,10 @@ class TestProblemSpec:
         {"k": 1, "z": 1, "eps": 1.5},
         {"k": 1, "z": 1, "eps": 0.5, "dim": 0},
         {"k": 1, "z": 1, "eps": 0.5, "seed": -3},
-        {"k": 1, "z": 1, "eps": 0.5, "jobs": 0},
-        {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": 0},
-        {"k": 1, "z": 1, "eps": 0.5, "decision_jobs": -2},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ProblemSpec(**kwargs)
-
-    def test_decision_jobs_accepted(self):
-        spec = ProblemSpec(1, 0, 1.0, decision_jobs=4)
-        assert spec.decision_jobs == 4 and isinstance(spec.decision_jobs, int)
-        assert ProblemSpec(1, 0, 1.0).decision_jobs is None
 
     def test_metric_resolution(self):
         assert ProblemSpec(1, 0, 1.0, metric="linf").metric_name == "chebyshev"
@@ -82,19 +74,19 @@ class TestProblemSpec:
     def test_as_dict(self):
         d = ProblemSpec(2, 3, 0.5, dim=1, seed=0).as_dict()
         assert d == {"k": 2, "z": 3, "eps": 0.5, "metric": "euclidean",
-                     "seed": 0, "dim": 1, "executor": None, "jobs": None,
-                     "decision_jobs": None}
+                     "seed": 0, "dim": 1}
 
-    def test_nine_settable_fields(self):
+    def test_six_settable_fields(self):
         settable = [f.name for f in fields(ProblemSpec) if f.init]
-        assert len(settable) == 9
+        assert settable == ["k", "z", "eps", "metric", "seed", "dim"]
         assert set(settable) == set(ProblemSpec(1, 0, 1.0).as_dict())
 
     @pytest.mark.parametrize("knob", [
         {"dtype": "float32"}, {"dtype": "float64"}, {"kernel_chunk": 512},
         {"kernel_backend": "numpy"}, {"prune": "auto"},
+        {"executor": "process"}, {"jobs": 4}, {"decision_jobs": 2},
     ])
-    def test_retired_kernel_knobs_are_not_fields(self, knob):
+    def test_retired_knobs_are_not_fields(self, knob):
         with pytest.raises(TypeError):
             ProblemSpec(k=1, z=0, eps=0.5, **knob)
 
@@ -295,7 +287,7 @@ class TestSession:
     def test_top_level_exports(self):
         import repro
 
-        assert repro.__version__ == "3.1.0"
+        assert repro.__version__ == "4.0.0"
         assert repro.ProblemSpec is ProblemSpec
         assert repro.KCenterSession is KCenterSession
         assert "api" in repro.__all__

@@ -299,7 +299,8 @@ def _assert_continues_bit_identically(backend, old):
 
 class TestRetiredSpecKeys:
     """Older snapshots carry ``dtype``, ``kernel_chunk``,
-    ``kernel_backend`` and ``prune`` in their spec dict."""
+    ``kernel_backend`` and ``prune`` (2.x) and ``executor``, ``jobs`` and
+    ``decision_jobs`` (3.x) in their spec dict."""
 
     @pytest.mark.parametrize("backend", ["insertion-only", "mpc-two-round"])
     def test_default_kernel_keys_restore_bit_identically(self, tmp_path,
@@ -327,6 +328,18 @@ class TestRetiredSpecKeys:
     def test_prune_key_restores_bit_identically(self, tmp_path, prune):
         old = _resave_with(tmp_path, "mpc-two-round", {"prune": prune})
         _assert_continues_bit_identically("mpc-two-round", old)
+
+    @pytest.mark.parametrize("backend", ["insertion-only", "mpc-two-round",
+                                         "dynamic"])
+    @pytest.mark.parametrize("keys", [
+        {"executor": None, "jobs": None, "decision_jobs": None},
+        {"executor": "process", "jobs": 4, "decision_jobs": 2},
+    ])
+    def test_execution_keys_restore_bit_identically(self, tmp_path, backend,
+                                                    keys):
+        old = _resave_with(tmp_path, backend, keys)
+        assert KCenterSession.load(old).spec.as_dict() == _spec().as_dict()
+        _assert_continues_bit_identically(backend, old)
 
 
 class TestRetiredStateKeys:
@@ -483,21 +496,46 @@ class TestDeleteManyAccounting:
         assert sess.updates_seen == 50
 
     @pytest.mark.parametrize("backend", sorted(INTEGER_BACKENDS))
-    def test_bad_batch_is_all_or_nothing(self, backend):
-        # a batch with a point outside [1, Delta]^d must raise with the
-        # sketches unmutated and nothing accounted
+    @pytest.mark.parametrize("op", ["extend", "delete_many", "insert",
+                                    "delete"])
+    @pytest.mark.parametrize("bad_point, match", [
+        ([DELTA * 10, DELTA * 10], "coordinates must lie"),
+        ([3.7, 4.2], "integers"),
+    ], ids=["out-of-universe", "non-integral"])
+    def test_bad_batch_is_all_or_nothing(self, backend, op, bad_point,
+                                         match):
+        # a point outside [1, Delta]^d or with a non-integral coordinate
+        # must raise with the sketches unmutated and nothing accounted,
+        # neither by the session nor by the structure under it
         sess = _make(backend)
         good = _stream(backend, 2, n=30)
         sess.extend(good)
-        before = sess.coreset()
+        sess.insert(good[0])
+        before, state = sess.coreset(), sess.backend.snapshot()
         bad = good[:5].copy()
-        bad[3] = [DELTA * 10, DELTA * 10]
-        with pytest.raises(ValueError, match="coordinates must lie"):
-            sess.delete_many(bad)
-        assert sess.updates_seen == 30
+        bad[3] = bad_point
+        with pytest.raises(ValueError, match=match):
+            getattr(sess, op)(bad if op in ("extend", "delete_many")
+                              else bad[3])
+        assert sess.updates_seen == 31
+        assert sess.backend.algo.updates_seen == 31
+        assert sess.stats()["sketch_updates"] == 31
+        _assert_same_tree(sess.backend.snapshot(), state)
         after = sess.coreset()
         assert np.array_equal(before.points, after.points)
         assert np.array_equal(before.weights, after.weights)
+
+
+def _assert_same_tree(a, b):
+    """Two snapshot state trees hold equal leaves under equal keys."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and set(a) == set(b)
+        for key in a:
+            _assert_same_tree(a[key], b[key])
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    else:
+        assert a == b
 
 
 class TestStateTreeFormat:

@@ -91,6 +91,14 @@ class TestSessionRoutes:
             ("no spec", "PUT", "/sessions/a", {}, 400, "missing-spec"),
             ("bad spec", "PUT", "/sessions/a", {"spec": {"k": -1}},
              400, "bad-spec"),
+            ("spec executor", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "executor": "process"},
+              "backend": "mpc-two-round"}, 400, "bad-spec"),
+            ("spec jobs", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "jobs": 64}, "backend": "mpc-two-round"},
+             400, "bad-spec"),
+            ("spec decision_jobs", "PUT", "/sessions/a",
+             {"spec": {**SPEC, "decision_jobs": 10**6}}, 400, "bad-spec"),
             ("bad backend", "PUT", "/sessions/a",
              {"spec": SPEC, "backend": "warp-drive"}, 400, "unknown-backend"),
             ("bad cadence", "PUT", "/sessions/a",
@@ -104,6 +112,8 @@ class TestSessionRoutes:
             status, doc, _ = _req(client, method, path, body)
             assert status == want_status, label
             assert doc["error"]["code"] == want_code, label
+        # rejected before any session (or backend) was built
+        assert _req(client, "GET", "/sessions/a")[0] == 404
 
     def test_extend_json_and_binary_wire_parity(self, server, client):
         pts = _points(3)
